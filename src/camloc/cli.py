@@ -18,22 +18,28 @@ import numpy as np
 
 from .cam import class_map, complement, normalize_minmax
 from .data import DatasetConfig, Sample, generate_dataset, read_annotations, write_annotations
-from .fusion import STRATEGIES, FusionConfig, localization_map
+from .fusion import STRATEGIES, FusionConfig
 from .imageio import read_ppm, write_pgm, write_ppm
-from .metrics import evaluate, extract_bbox, write_records
+from .metrics import evaluate, localize, write_records
 from .model import (
     GUIDANCE_MODES,
     CheckpointError,
     ModelConfig,
     NumericError,
     TrainConfig,
-    forward,
     init_model,
     load_checkpoint,
+    predict_maps,
     save_checkpoint,
     train,
 )
-from .tensor import Tensor, bilinear_upsample, no_grad
+from .tensor import upsample_bilinear
+
+# not called here any more, but perfbench/tracer.py patches them in this module
+from .fusion import localization_map  # noqa: F401
+from .metrics import extract_bbox  # noqa: F401
+from .model import forward  # noqa: F401
+from .tensor import bilinear_upsample  # noqa: F401
 
 
 class UsageError(Exception):
@@ -246,7 +252,12 @@ def _load_params(cfg: RunConfig):
     path = _checkpoint_path(cfg)
     if not path.exists():
         raise DataError(f"missing checkpoint: {path} not found (run train first)")
-    return load_checkpoint(path)
+    params = load_checkpoint(path)
+    if params.num_classes != cfg.dataset.num_classes:
+        raise DataError(
+            f"checkpoint {path} has {params.num_classes} classes but the dataset has {cfg.dataset.num_classes}"
+        )
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -327,39 +338,23 @@ def cmd_visualize(cfg: RunConfig) -> None:
     sample = samples[cfg.sample_index]
     height, width = sample.image.shape[1:]
 
-    with no_grad():
-        art = forward(
-            params,
-            sample.image,
-            guide_class=None,
-            mode=cfg.train.guidance_mode,
-            erase_threshold=cfg.train.erase_threshold,
-        )
-        predicted = int(np.argmax((art.logits_a.data + art.logits_b.data) / 2))
-        cam_a = normalize_minmax(class_map(art.score_maps_a.data, predicted))
-        cam_b = normalize_minmax(class_map(art.score_maps_b.data, predicted))
-        ccam = complement(cam_a)
-        fused = localization_map(
-            art.score_maps_a.data,
-            art.score_maps_b.data,
-            predicted,
-            cfg.fusion,
-            cfg.single_branch,
-        )
+    score_a, score_b, logits_a, logits_b = predict_maps(
+        params, sample.image[None], cfg.train.guidance_mode, cfg.train.erase_threshold
+    )
+    predicted = int(np.argmax((logits_a[0] + logits_b[0]) / 2))
+    (box,), (fused_full,) = localize(
+        score_a[0], score_b[0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau, cfg.single_branch
+    )
+    cam_a = normalize_minmax(class_map(score_a[0], predicted))
+    cam_b = normalize_minmax(class_map(score_b[0], predicted))
+    for name, values in (("cam_a", cam_a.values), ("ccam", complement(cam_a).values), ("cam_b", cam_b.values)):
+        write_pgm(upsample_bilinear(values, height, width), out / f"{name}.pgm")
+    write_pgm(fused_full, out / "fused.pgm")
 
-        def full_res(values: np.ndarray) -> np.ndarray:
-            return bilinear_upsample(Tensor(values), height, width).data
-
-        write_pgm(full_res(cam_a.values), out / "cam_a.pgm")
-        write_pgm(full_res(ccam.values), out / "ccam.pgm")
-        write_pgm(full_res(cam_b.values), out / "cam_b.pgm")
-        fused_full = normalize_minmax(full_res(fused)).values
-        write_pgm(fused_full, out / "fused.pgm")
-
-        overlay = sample.image.copy()
-        _draw_box_outline(overlay, sample.gt_box, channel=0)  # ground truth in red
-        _draw_box_outline(overlay, extract_bbox(fused_full, cfg.bbox_tau), channel=2)  # prediction in blue
-        write_ppm(overlay, out / "overlay.ppm")
+    overlay = sample.image.copy()
+    _draw_box_outline(overlay, sample.gt_box, channel=0)  # ground truth in red
+    _draw_box_outline(overlay, box, channel=2)  # prediction in blue
+    write_ppm(overlay, out / "overlay.ppm")
 
     write_manifest(cfg, out / "manifest_visualize.cfg")
     print(f"wrote cam_a.pgm, ccam.pgm, cam_b.pgm, fused.pgm, overlay.ppm to {out}")

@@ -7,11 +7,11 @@ pixel is its share of the block-averaged channel-wise l1 activity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cam import CamMap, class_map, normalize_minmax
+from .cam import CamMap, normalize_minmax
 
 STRATEGIES = ("max", "addition", "l1norm")
 
@@ -104,39 +104,47 @@ def fuse_l1norm(
     combination of the two inputs.
     """
     config = config or FusionConfig(strategy="l1norm")
-    sa = np.asarray(score_maps_a, dtype=np.float32)
-    sb = np.asarray(score_maps_b, dtype=np.float32)
-    if sa.shape != sb.shape:
-        raise ValueError(f"shape mismatch: {sa.shape} vs {sb.shape}")
-    if not 0 <= class_index < sa.shape[0]:
-        raise IndexError(f"class {class_index} out of range for {sa.shape[0]} channels")
-    wa, wb = fusion_weights(
-        block_average(activity_map(sa), config.block_radius),
-        block_average(activity_map(sb), config.block_radius),
-    )
-    return wa * sa[class_index] + wb * sb[class_index]
+    return localization_maps(score_maps_a, score_maps_b, [class_index], replace(config, strategy="l1norm"))[0]
 
 
-def localization_map(
-    score_maps_a: np.ndarray,
-    score_maps_b: np.ndarray,
-    class_index: int,
-    config: FusionConfig,
+def localization_maps(
+    score_maps_a: np.ndarray, score_maps_b: np.ndarray, classes, config: FusionConfig,
     single_branch: bool = False,
 ) -> np.ndarray:
-    """Final per-class map for box extraction.
+    """Final maps of the given classes for box extraction, stacked (K,h,w).
 
     Max and addition operate on min-max normalized per-class maps (raw
     scale must not let one branch dominate); l1norm weighting consumes the
-    raw score maps. ``single_branch`` returns branch A's normalized map
-    alone, the no-fusion baseline.
+    raw score maps, and its activity weights are shared by all classes.
+    ``single_branch`` returns branch A's normalized maps alone, the
+    no-fusion baseline.
     """
+    sa = np.asarray(score_maps_a, dtype=np.float32)
+    sb = np.asarray(score_maps_b, dtype=np.float32)
+    if sa.ndim != 3:
+        raise ValueError(f"score maps must be (C,h,w), got shape {sa.shape}")
+    if sa.shape != sb.shape:
+        raise ValueError(f"shape mismatch: {sa.shape} vs {sb.shape}")
+    classes = list(classes)
+    for c in classes:
+        if not 0 <= c < len(sa):
+            raise IndexError(f"class {c} out of range for {len(sa)} channels")
+    if config.strategy == "l1norm" and not single_branch:
+        wa, wb = fusion_weights(
+            block_average(activity_map(sa), config.block_radius),
+            block_average(activity_map(sb), config.block_radius),
+        )
+        return wa * sa[classes] + wb * sb[classes]
+    a = [normalize_minmax(sa[c]) for c in classes]
     if single_branch:
-        return normalize_minmax(class_map(score_maps_a, class_index)).values
-    if config.strategy == "l1norm":
-        return fuse_l1norm(score_maps_a, score_maps_b, class_index, config)
-    a = normalize_minmax(class_map(score_maps_a, class_index))
-    b = normalize_minmax(class_map(score_maps_b, class_index))
-    if config.strategy == "max":
-        return fuse_max(a, b)
-    return fuse_addition(a, b)
+        return np.stack([m.values for m in a])
+    fuse = fuse_max if config.strategy == "max" else fuse_addition
+    return np.stack([fuse(ma, normalize_minmax(sb[c])) for ma, c in zip(a, classes)])
+
+
+def localization_map(
+    score_maps_a: np.ndarray, score_maps_b: np.ndarray, class_index: int, config: FusionConfig,
+    single_branch: bool = False,
+) -> np.ndarray:
+    """Final map of one class for box extraction; see :func:`localization_maps`."""
+    return localization_maps(score_maps_a, score_maps_b, [class_index], config, single_branch)[0]

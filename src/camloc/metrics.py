@@ -17,8 +17,16 @@ from scipy import ndimage
 
 from . import fusion as fusion_mod
 from .cam import normalize_minmax
-from .model import ModelParams, forward
-from .tensor import Tensor, bilinear_upsample, no_grad
+from .model import ModelParams, predict_maps
+from .tensor import upsample_bilinear
+
+# not called here any more, but perfbench/tracer.py patches them in this module
+from .model import forward  # noqa: F401
+from .tensor import bilinear_upsample  # noqa: F401
+
+# samples per graph-free forward pass in ``evaluate``: larger chunks ran no
+# faster and only raise the peak resident set
+EVAL_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -111,6 +119,20 @@ def localization_flags(record: EvalRecord) -> tuple[bool, bool]:
     return top1, top5
 
 
+def localize(
+    score_maps_a: np.ndarray, score_maps_b: np.ndarray, classes, fusion_config: fusion_mod.FusionConfig,
+    size: tuple[int, int], tau: float, single_branch: bool = False,
+) -> tuple[list[BBox], list[np.ndarray]]:
+    """Boxes of the given classes for one sample, and their full-resolution maps.
+
+    Each class's fused map is upsampled to ``size`` (height, width),
+    min-max normalized and boxed with :func:`extract_bbox`.
+    """
+    fused = fusion_mod.localization_maps(score_maps_a, score_maps_b, classes, fusion_config, single_branch)
+    full = [normalize_minmax(m).values for m in upsample_bilinear(fused, *size)]
+    return [extract_bbox(m, tau) for m in full], full
+
+
 def evaluate(
     params: ModelParams,
     dataset,
@@ -120,70 +142,45 @@ def evaluate(
     erase_threshold: float = 0.6,
     single_branch: bool = False,
 ) -> tuple[MetricsReport, list[EvalRecord]]:
-    """Run classification + localization evaluation over an annotated dataset."""
+    """Run classification + localization evaluation over an annotated dataset,
+    graph-free through :func:`predict_maps`, ``EVAL_CHUNK`` samples at a time."""
     fusion_config = fusion_config or fusion_mod.FusionConfig()
     if not 0.0 < tau < 1.0:
         raise ValueError(f"bbox threshold must lie in (0, 1), got {tau}")
     samples = list(dataset)
     if not samples:
         raise ValueError("evaluation dataset is empty")
+    for index, sample in enumerate(samples):
+        if sample.gt_box is None:
+            raise ValueError(f"sample {index:05d} is missing a ground-truth box")
+
+    records: list[EvalRecord] = []
+    for start in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[start : start + EVAL_CHUNK]
+        images = np.stack([sample.image for sample in chunk])
+        score_a, score_b, logits_a, logits_b = predict_maps(params, images, cam_mode, erase_threshold)
+        mean_logits = (logits_a + logits_b) / 2
+        for offset, sample in enumerate(chunk):
+            ranking = np.argsort(-mean_logits[offset], kind="stable")
+            preds = [int(c) for c in ranking[: min(5, len(ranking))]]
+            classes = preds if sample.label in preds else preds + [sample.label]
+            boxes, _ = localize(
+                score_a[offset], score_b[offset], classes, fusion_config, images.shape[2:], tau, single_branch
+            )
+            ious = [iou(box, sample.gt_box) for box in boxes]
+            gt_known = gt_known_correct(ious[classes.index(sample.label)])
+            k = len(preds)
+            records.append(EvalRecord(
+                f"{start + offset:05d}", sample.label, preds, boxes[:k], ious[:k], sample.gt_box, gt_known
+            ))
+
 
     n = len(samples)
-    top1_cls = top5_cls = top1_loc = top5_loc = gt_known_hits = 0
-    records: list[EvalRecord] = []
-
-    with no_grad():
-        for index, sample in enumerate(samples):
-            sample_id = f"{index:05d}"
-            if sample.gt_box is None:
-                raise ValueError(f"sample {sample_id} is missing a ground-truth box")
-            art = forward(
-                params,
-                sample.image,
-                guide_class=None,
-                mode=cam_mode,
-                erase_threshold=erase_threshold,
-            )
-            height, width = sample.image.shape[1:]
-            mean_logits = (art.logits_a.data + art.logits_b.data) / 2
-            ranking = np.argsort(-mean_logits, kind="stable")
-            preds = [int(c) for c in ranking[: min(5, len(ranking))]]
-
-            score_a = art.score_maps_a.data
-            score_b = art.score_maps_b.data
-            box_cache: dict[int, BBox] = {}
-
-            def class_box(c: int) -> BBox:
-                if c not in box_cache:
-                    fused = fusion_mod.localization_map(
-                        score_a, score_b, c, fusion_config, single_branch
-                    )
-                    full = bilinear_upsample(Tensor(fused), height, width).data
-                    box_cache[c] = extract_bbox(normalize_minmax(full).values, tau)
-                return box_cache[c]
-
-            boxes = [class_box(c) for c in preds]
-            ious = [iou(box, sample.gt_box) for box in boxes]
-            gt_known = gt_known_correct(iou(class_box(sample.label), sample.gt_box))
-
-            record = EvalRecord(
-                sample_id=sample_id,
-                true_class=sample.label,
-                predicted=preds,
-                boxes=boxes,
-                ious=ious,
-                gt_box=sample.gt_box,
-                gt_known=gt_known,
-            )
-            records.append(record)
-
-            loc1, loc5 = localization_flags(record)
-            top1_cls += preds[0] == sample.label
-            top5_cls += sample.label in preds
-            top1_loc += loc1
-            top5_loc += loc5
-            gt_known_hits += gt_known
-
+    hits = [
+        (r.predicted[0] == r.true_class, r.true_class in r.predicted, *localization_flags(r), r.gt_known)
+        for r in records
+    ]
+    top1_cls, top5_cls, top1_loc, top5_loc, gt_known_hits = (sum(column) for column in zip(*hits))
     report = MetricsReport(
         top1_cls_err=100.0 * (1 - top1_cls / n),
         top5_cls_err=100.0 * (1 - top5_cls / n),

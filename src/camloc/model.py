@@ -23,8 +23,10 @@ from .tensor import (
     backward,
     broadcast_mul_channels,
     conv2d,
+    conv2d_batch,
     global_avg_pool,
     maxpool2d,
+    maxpool2x2,
     relu,
     sgd_step,
     softmax_cross_entropy,
@@ -37,7 +39,7 @@ CHECKPOINT_VERSION = 1
 
 
 class NumericError(RuntimeError):
-    """Raised when training encounters a non-finite loss."""
+    """Raised when training meets a non-finite loss, or inference non-finite maps."""
 
 
 class CheckpointError(Exception):
@@ -238,6 +240,43 @@ def forward(
         guidance=guidance,
         guide_class=guide,
     )
+
+
+def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", erase_threshold: float = 0.6):
+    """Graph-free inference pass over a stacked (N,3,H,W) float32 batch.
+
+    Returns branch A's and branch B's score maps (N,C,h,w) and logits (N,C),
+    equal to ``forward(guide_class=None)`` sample by sample: each sample's
+    guidance comes from branch A's top-1 class. Relu runs after each
+    backbone pool, which is exact because max commutes with it. Non-finite
+    maps raise :class:`NumericError`.
+    """
+    if mode not in GUIDANCE_MODES:
+        raise ValueError(f"unknown guidance mode '{mode}'; valid: {', '.join(GUIDANCE_MODES)}")
+    images = np.asarray(images, dtype=np.float32)
+
+    def conv(name, x):
+        weight = params[f"{name}.weight"].data
+        return conv2d_batch(x, weight, params[f"{name}.bias"].data, pad=weight.shape[2] // 2)
+
+    def head(branch, x):
+        x = np.maximum(conv(f"{branch}.conv1", x), 0.0)
+        scores = np.ascontiguousarray(conv(f"{branch}.score", np.maximum(conv(f"{branch}.conv2", x), 0.0)))
+        logits = scores.mean(axis=(2, 3))
+        if not (np.isfinite(scores).all() and np.isfinite(logits).all()):
+            raise NumericError(f"non-finite {branch} score maps at inference")
+        return scores, logits
+
+    features = images
+    for i in range(params.num_backbone_blocks):
+        features = np.maximum(maxpool2x2(conv(f"backbone.{i}", features)), 0.0)
+    scores_a, logits_a = head("branch_a", features)
+    guidance = np.empty((len(images), 1, *features.shape[2:]), dtype=np.float32)
+    for i, guide in enumerate(np.argmax(logits_a, axis=1)):
+        cam = normalize_minmax(class_map(scores_a[i], int(guide)))
+        guidance[i, 0] = (complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)).values
+    scores_b, logits_b = head("branch_b", features * guidance)
+    return scores_a, scores_b, logits_a, logits_b
 
 
 def dual_branch_loss(logits_a: Tensor, logits_b: Tensor, label: int) -> Tensor:

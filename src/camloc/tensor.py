@@ -330,6 +330,25 @@ def bilinear_upsample(m: Tensor, out_h: int, out_w: int) -> Tensor:
     if m.ndim != 2:
         raise ValueError(f"bilinear_upsample expects a 2-d map, got {m.shape}")
     h, w = m.shape
+    out = Tensor(upsample_bilinear(m.data, out_h, out_w))
+
+    def bwd(g):
+        # the map is linear: its Jacobian is the kernel applied to the basis maps
+        basis = np.eye(h * w, dtype=np.float32).reshape(h * w, h, w)
+        jacobian = upsample_bilinear(basis, out_h, out_w).reshape(h * w, out_h * out_w)
+        return ((jacobian @ g.reshape(-1)).reshape(h, w),)
+
+    return _record(out, (m,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# graph-free numpy kernels for inference, on a leading batch axis
+
+
+def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Align-corners bilinear upsampling of the last two axes of ``maps``;
+    any leading axes are carried along."""
+    h, w = maps.shape[-2:]
     if out_h < h or out_w < w:
         raise ValueError(f"cannot shrink {h}x{w} to {out_h}x{out_w}")
 
@@ -342,25 +361,37 @@ def bilinear_upsample(m: Tensor, out_h: int, out_w: int) -> Tensor:
 
     y0, fy = axis_coords(h, out_h)
     x0, fx = axis_coords(w, out_w)
-    y1 = np.minimum(y0 + 1, h - 1)
     x1 = np.minimum(x0 + 1, w - 1)
     wy = fy[:, None]
     wx = fx[None, :]
-    d = m.data
-    out_data = (
-        d[np.ix_(y0, x0)] * (1 - wy) * (1 - wx)
-        + d[np.ix_(y0, x1)] * (1 - wy) * wx
-        + d[np.ix_(y1, x0)] * wy * (1 - wx)
-        + d[np.ix_(y1, x1)] * wy * wx
+    # rows first, then columns: two 1-d gathers beat one 2-d fancy index
+    row0, row1 = maps[..., y0, :], maps[..., np.minimum(y0 + 1, h - 1), :]
+    return (
+        row0[..., x0] * (1 - wy) * (1 - wx)
+        + row0[..., x1] * (1 - wy) * wx
+        + row1[..., x0] * wy * (1 - wx)
+        + row1[..., x1] * wy * wx
     )
-    out = Tensor(out_data)
 
-    def bwd(g):
-        g_m = np.zeros((h, w), dtype=np.float32)
-        np.add.at(g_m, (y0[:, None], x0[None, :]), g * (1 - wy) * (1 - wx))
-        np.add.at(g_m, (y0[:, None], x1[None, :]), g * (1 - wy) * wx)
-        np.add.at(g_m, (y1[:, None], x0[None, :]), g * wy * (1 - wx))
-        np.add.at(g_m, (y1[:, None], x1[None, :]), g * wy * wx)
-        return (g_m,)
 
-    return _record(out, (m,), bwd)
+def conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
+    """Stride-1, zero-padded cross-correlation of (N,Cin,H,W) inputs with a
+    (Cout,Cin,kh,kw) kernel: one im2col GEMM for the batch, returned as a
+    (N,Cout,oh,ow) transposed view."""
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    out_h, out_w = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
+    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
+    out = (kernel.reshape(cout, -1) @ cols).reshape(cout, n, out_h, out_w) + bias[:, None, None, None]
+    return out.transpose(1, 0, 2, 3)
+
+
+def maxpool2x2(x: np.ndarray) -> np.ndarray:
+    """2x2 max pooling with stride 2 over the last two (even) axes."""
+    return np.maximum(
+        np.maximum(x[..., ::2, ::2], x[..., ::2, 1::2]),
+        np.maximum(x[..., 1::2, ::2], x[..., 1::2, 1::2]),
+    )

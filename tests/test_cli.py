@@ -193,6 +193,23 @@ class TestEvalCommand:
         assert run("eval", "--config", small_cfg_file, "--out", str(out)) == 2
 
 
+    def test_class_count_mismatch_is_data_error(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        save_checkpoint(oracles.objectness_params(num_classes=3), out / "checkpoint.bin")
+        for command in ("eval", "visualize"):
+            assert run(command, "--config", cfg_path, "--out", str(out)) == 2
+            err = capsys.readouterr().err
+            assert "3 classes" in err and "has 4" in err
+
+    def test_non_finite_weight_is_numeric_failure(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        params = oracles.objectness_params()
+        params["backbone.0.weight"].data[0, 0, 0, 0] = np.nan
+        save_checkpoint(params, out / "checkpoint.bin")
+        assert run("eval", "--config", cfg_path, "--out", str(out)) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestVisualizeCommand:
     def test_writes_five_files_with_valid_headers(self, capsys, oracle_run):
         cfg_path, out = oracle_run

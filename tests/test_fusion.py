@@ -16,6 +16,7 @@ from camloc import (
     localization_map,
     normalize_minmax,
 )
+from camloc.fusion import localization_maps
 
 import oracles
 
@@ -244,3 +245,40 @@ class TestLocalizationMap:
         a_norm = normalize_minmax(sa[0]).values
         b_norm = normalize_minmax(sb[0]).values
         np.testing.assert_allclose(out, a_norm + b_norm, atol=1e-6)
+
+
+def per_class_map(sa, sb, c, config, single_branch):
+    """One class's map computed on its own, the way localization ran per class."""
+    if single_branch:
+        return normalize_minmax(sa[c]).values
+    if config.strategy == "l1norm":
+        wa, wb = fusion_weights(
+            block_average(activity_map(sa), config.block_radius),
+            block_average(activity_map(sb), config.block_radius),
+        )
+        return wa * sa[c] + wb * sb[c]
+    fuse = fuse_max if config.strategy == "max" else fuse_addition
+    return fuse(normalize_minmax(sa[c]), normalize_minmax(sb[c]))
+
+
+class TestLocalizationMaps:
+    @pytest.mark.parametrize(
+        "strategy, single", [("max", False), ("addition", False), ("l1norm", False), ("l1norm", True)]
+    )
+    def test_equals_per_class_maps_bit_for_bit(self, strategy, single):
+        rng = np.random.default_rng(13)
+        sa = rng.normal(size=(6, 8, 8)).astype(np.float32)
+        sb = rng.normal(size=(6, 8, 8)).astype(np.float32)
+        config = FusionConfig(strategy)
+        classes = [4, 0, 5, 2]
+        maps = localization_maps(sa, sb, classes, config, single)
+        assert maps.shape == (4, 8, 8)
+        for k, c in enumerate(classes):
+            expected = per_class_map(sa, sb, c, config, single)
+            np.testing.assert_array_equal(maps[k], expected)
+            np.testing.assert_array_equal(localization_map(sa, sb, c, config, single), expected)
+
+    def test_class_out_of_range(self):
+        maps = np.zeros((3, 4, 4), dtype=np.float32)
+        with pytest.raises(IndexError, match="class 3"):
+            localization_maps(maps, maps, [0, 3], FusionConfig("addition"))

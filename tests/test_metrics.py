@@ -8,11 +8,19 @@ from camloc import (
     DatasetConfig,
     EvalRecord,
     FusionConfig,
+    ModelConfig,
     Sample,
+    Tensor,
+    bilinear_upsample,
     evaluate,
     extract_bbox,
+    forward,
     generate_dataset,
+    init_model,
     iou,
+    localization_map,
+    no_grad,
+    normalize_minmax,
 )
 from camloc.metrics import gt_known_correct, localization_flags
 
@@ -174,3 +182,47 @@ class TestEvaluate:
         for record in records:
             assert len(record.predicted) == 4  # C=4 < 5
             assert len(record.ious) == len(record.predicted) == len(record.boxes)
+
+
+def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
+    """Records the way evaluation ran before batching: one autograd forward
+    pass per sample, then one fused map, upsampling and box per class."""
+    records = []
+    with no_grad():
+        for index, sample in enumerate(samples):
+            art = forward(params, sample.image, guide_class=None, mode=mode)
+            mean_logits = (art.logits_a.data + art.logits_b.data) / 2
+            preds = [int(c) for c in np.argsort(-mean_logits, kind="stable")[:5]]
+
+            def box(c):
+                fused = localization_map(art.score_maps_a.data, art.score_maps_b.data, c, config, single_branch)
+                full = bilinear_upsample(Tensor(fused), *sample.image.shape[1:]).data
+                return extract_bbox(normalize_minmax(full).values, tau)
+
+            boxes = [box(c) for c in preds]
+            ious = [iou(b, sample.gt_box) for b in boxes]
+            gt_known = gt_known_correct(iou(box(sample.label), sample.gt_box))
+            records.append(EvalRecord(f"{index:05d}", sample.label, preds, boxes, ious, sample.gt_box, gt_known))
+    return records
+
+
+class TestEvaluateMatchesPerSample:
+    """Seven classes, so top-5 leaves classes out and the ground-truth class
+    is sometimes an extra box; ten samples span three inference chunks."""
+
+    @pytest.mark.parametrize(
+        "mode, strategy, single",
+        [(m, s, False) for m in ("ccam", "threshold") for s in ("max", "addition", "l1norm")]
+        + [("ccam", "addition", True)],
+    )
+    def test_records_equal_per_sample_oracle(self, mode, strategy, single):
+        dataset = DatasetConfig(
+            num_classes=7, train_samples=1, test_samples=10, image_size=(32, 32),
+            seed=4, head_size=(5, 6), body_size=(9, 12),
+        )
+        samples = generate_dataset(dataset)[1]
+        params = init_model(ModelConfig(7, input_size=(32, 32), backbone_channels=(8, 8, 8), head_width=8, seed=2))
+        config = FusionConfig(strategy)
+        report, records = evaluate(params, samples, config, tau=0.3, cam_mode=mode, single_branch=single)
+        assert records == evaluate_per_sample(params, samples, config, 0.3, mode, single)
+        assert report.n_samples == 10

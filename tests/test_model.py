@@ -16,7 +16,8 @@ from camloc import (
     save_checkpoint,
     train,
 )
-from camloc.model import backbone_forward, head_forward
+from camloc.model import backbone_forward, head_forward, predict_maps
+from camloc.tensor import no_grad
 
 
 def small_config(**overrides):
@@ -160,6 +161,40 @@ class TestForward:
         params = init_model(small_config())
         with pytest.raises(ValueError, match="guidance mode"):
             forward(params, np.zeros((3, 32, 32), dtype=np.float32), guide_class=0, mode="erase")
+
+
+class TestPredictMaps:
+    def trained(self):
+        train_split, test_split = small_dataset(n_train=8, n_test=7)
+        params = init_model(small_config())
+        train(params, train_split, TrainConfig(epochs=1, batch_size=4, learning_rate=0.05, seed=1))
+        return params, test_split
+
+    @pytest.mark.parametrize("mode", ["ccam", "threshold"])
+    def test_equals_forward_bit_for_bit(self, mode):
+        params, samples = self.trained()
+        images = np.stack([s.image for s in samples])  # N=7: more than one evaluate chunk
+        score_a, score_b, logits_a, logits_b = predict_maps(params, images, mode)
+        assert score_a.shape == score_b.shape == (7, 4, 4, 4)
+        assert logits_a.shape == logits_b.shape == (7, 4)
+        with no_grad():
+            for i, sample in enumerate(samples):
+                art = forward(params, sample.image, guide_class=None, mode=mode)
+                np.testing.assert_array_equal(score_a[i], art.score_maps_a.data)
+                np.testing.assert_array_equal(score_b[i], art.score_maps_b.data)
+                np.testing.assert_array_equal(logits_a[i], art.logits_a.data)
+                np.testing.assert_array_equal(logits_b[i], art.logits_b.data)
+
+    def test_non_finite_weight_raises_numeric_error(self):
+        params = init_model(small_config())
+        params["branch_b.conv2.weight"].data[0, 0, 1, 1] = np.nan
+        with pytest.raises(NumericError, match="branch_b"):
+            predict_maps(params, np.zeros((2, 3, 32, 32), dtype=np.float32))
+
+    def test_unknown_mode_errors(self):
+        params = init_model(small_config())
+        with pytest.raises(ValueError, match="guidance mode"):
+            predict_maps(params, np.zeros((1, 3, 32, 32), dtype=np.float32), mode="erase")
 
 
 class TestDualBranchLoss:
