@@ -28,6 +28,8 @@ from .tensor import bilinear_upsample  # noqa: F401
 # faster and only raise the peak resident set
 EVAL_CHUNK = 4
 
+FOUR_CONNECTED = ndimage.generate_binary_structure(2, 1)
+
 
 @dataclass(frozen=True)
 class BBox:
@@ -93,11 +95,11 @@ def extract_bbox(heatmap: np.ndarray, tau: float) -> BBox:
     if arr.ndim != 2:
         raise ValueError(f"heatmap must be 2-d, got shape {arr.shape}")
     mask = arr >= tau * arr.max()
-    labels, count = ndimage.label(mask)
+    labels, _ = ndimage.label(mask, structure=FOUR_CONNECTED)
     sizes = np.bincount(labels.ravel())[1:]
     largest = int(np.argmax(sizes)) + 1
-    ys, xs = np.nonzero(labels == largest)
-    return BBox(int(xs.min()), int(ys.min()), int(xs.max()) + 1, int(ys.max()) + 1)
+    rows, cols = ndimage.find_objects(labels, max_label=largest)[-1]
+    return BBox(cols.start, rows.start, cols.stop, rows.stop)
 
 
 def gt_known_correct(iou_value: float) -> bool:

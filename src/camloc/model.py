@@ -10,6 +10,7 @@ branches' cross entropies.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,16 +24,18 @@ from .tensor import (
     backward,
     broadcast_mul_channels,
     conv2d,
-    conv2d_batch,
     global_avg_pool,
     maxpool2d,
-    maxpool2x2,
+    no_grad,
     relu,
     sgd_step,
     softmax_cross_entropy,
 )
 
 GUIDANCE_MODES = ("ccam", "threshold")
+
+# samples per training graph: each chunk is one forward and backward pass
+TRAIN_CHUNK = 4
 
 CHECKPOINT_MAGIC = b"HCLN"
 CHECKPOINT_VERSION = 1
@@ -128,7 +131,7 @@ class ForwardArtifacts:
     logits_a: Tensor
     logits_b: Tensor
     guidance: CamMap
-    guide_class: int
+    guide_class: int | np.ndarray
 
 
 @dataclass
@@ -172,9 +175,15 @@ def _conv_block(params: ModelParams, name: str, x: Tensor) -> Tensor:
 
 
 def backbone_forward(params: ModelParams, image: Tensor) -> Tensor:
+    """The conv/pool trunk over a (3,H,W) image or an (N,3,H,W) batch.
+
+    Relu runs after each pool, on a quarter of the elements. Max commutes
+    with the monotone relu, and under the first-max tie rule the gradients
+    are the same as with relu before the pool.
+    """
     h = image
     for i in range(params.num_backbone_blocks):
-        h = maxpool2d(relu(_conv_block(params, f"backbone.{i}", h)))
+        h = relu(maxpool2d(_conv_block(params, f"backbone.{i}", h)))
     return h
 
 
@@ -187,42 +196,60 @@ def head_forward(params: ModelParams, branch: str, features: Tensor) -> tuple[Te
     return scores, global_avg_pool(scores)
 
 
+def _guidance_masks(score_maps_a: np.ndarray, guides, mode: str, erase_threshold: float) -> np.ndarray:
+    """(N,h,w) guidance from (N,C,h,w) branch-A maps: each sample's guide
+    class map, normalized, then complemented (ccam) or thresholded."""
+    if not np.isfinite(score_maps_a).all():
+        raise NumericError("non-finite branch_a score maps")
+    masks = np.empty((len(score_maps_a), *score_maps_a.shape[2:]), dtype=np.float32)
+    for i, guide in enumerate(guides):
+        cam = normalize_minmax(class_map(score_maps_a[i], int(guide)))
+        masks[i] = (complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)).values
+    return masks
+
+
 def forward(
     params: ModelParams,
     image,
-    guide_class: int | None = None,
+    guide_class=None,
     mode: str = "ccam",
     erase_threshold: float = 0.6,
     guidance_override: np.ndarray | None = None,
 ) -> ForwardArtifacts:
-    """Full two-branch forward pass.
+    """Full two-branch forward pass over one (3,H,W) image or an (N,3,H,W) stack.
 
-    ``guide_class`` selects which class map drives the guidance; None uses
-    branch A's top-1 prediction (the label-free inference protocol).
-    ``guidance_override`` substitutes a fixed mask, for diagnostics and
-    ablations.
+    ``guide_class`` selects which class map drives the guidance: an int for
+    one image, N ints for a stack; None uses branch A's top-1 prediction
+    (the label-free inference protocol). ``guidance_override`` substitutes a
+    fixed mask, for diagnostics and ablations. For a stack every artifact
+    keeps the leading batch axis: ``guidance`` is (N,h,w) and
+    ``guide_class`` an (N,) array.
     """
     if mode not in GUIDANCE_MODES:
         raise ValueError(f"unknown guidance mode '{mode}'; valid: {', '.join(GUIDANCE_MODES)}")
     x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.ndim != 3:
-        raise ValueError(f"image must be (3,H,W), got shape {x.shape}")
+    if x.ndim not in (3, 4):
+        raise ValueError(f"image must be (3,H,W) or (N,3,H,W), got shape {x.shape}")
+    stacked = x.ndim == 4
 
     features = backbone_forward(params, x)
     score_maps_a, logits_a = head_forward(params, "branch_a", features)
+    scores_a = score_maps_a.data if stacked else score_maps_a.data[None]
 
     if guide_class is None:
-        guide = int(np.argmax(logits_a.data))
+        guides = np.argmax(logits_a.data.reshape(len(scores_a), -1), axis=1)
     else:
-        if not 0 <= guide_class < params.num_classes:
+        guides = np.asarray(guide_class).reshape(-1)
+        if len(guides) != len(scores_a):
+            raise ValueError(f"{len(guides)} guide classes for {len(scores_a)} images")
+        if guides.min() < 0 or guides.max() >= params.num_classes:
             raise IndexError(f"guide class {guide_class} out of range for {params.num_classes} classes")
-        guide = guide_class
 
     if guidance_override is not None:
         guidance = CamMap(np.asarray(guidance_override, dtype=np.float32), normalized=True)
     else:
-        cam = normalize_minmax(class_map(score_maps_a.data, guide))
-        guidance = complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)
+        masks = _guidance_masks(scores_a, guides, mode, erase_threshold)
+        guidance = CamMap(masks if stacked else masks[0], normalized=True)
 
     # Branch B reads the shared features but does not train them: letting
     # both cross-entropy terms pull on one trunk destabilizes small-scale
@@ -238,62 +265,59 @@ def forward(
         logits_a=logits_a,
         logits_b=logits_b,
         guidance=guidance,
-        guide_class=guide,
+        guide_class=guides if stacked else int(guides[0]),
     )
 
 
 def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", erase_threshold: float = 0.6):
     """Graph-free inference pass over a stacked (N,3,H,W) float32 batch.
 
-    Returns branch A's and branch B's score maps (N,C,h,w) and logits (N,C),
-    equal to ``forward(guide_class=None)`` sample by sample: each sample's
-    guidance comes from branch A's top-1 class. Relu runs after each
-    backbone pool, which is exact because max commutes with it. Non-finite
-    maps raise :class:`NumericError`.
+    Returns branch A's and branch B's score maps (N,C,h,w) and logits (N,C)
+    of :func:`forward` under ``no_grad``, guided by branch A's top-1 class
+    per sample. Non-finite maps raise :class:`NumericError`.
     """
-    if mode not in GUIDANCE_MODES:
-        raise ValueError(f"unknown guidance mode '{mode}'; valid: {', '.join(GUIDANCE_MODES)}")
-    images = np.asarray(images, dtype=np.float32)
-
-    def conv(name, x):
-        weight = params[f"{name}.weight"].data
-        return conv2d_batch(x, weight, params[f"{name}.bias"].data, pad=weight.shape[2] // 2)
-
-    def head(branch, x):
-        x = np.maximum(conv(f"{branch}.conv1", x), 0.0)
-        scores = np.ascontiguousarray(conv(f"{branch}.score", np.maximum(conv(f"{branch}.conv2", x), 0.0)))
-        logits = scores.mean(axis=(2, 3))
+    with no_grad():
+        art = forward(params, np.asarray(images, dtype=np.float32), None, mode, erase_threshold)
+    scores_a, scores_b = art.score_maps_a.data, art.score_maps_b.data
+    logits_a, logits_b = art.logits_a.data, art.logits_b.data
+    for branch, scores, logits in (("branch_a", scores_a, logits_a), ("branch_b", scores_b, logits_b)):
         if not (np.isfinite(scores).all() and np.isfinite(logits).all()):
             raise NumericError(f"non-finite {branch} score maps at inference")
-        return scores, logits
-
-    features = images
-    for i in range(params.num_backbone_blocks):
-        features = np.maximum(maxpool2x2(conv(f"backbone.{i}", features)), 0.0)
-    scores_a, logits_a = head("branch_a", features)
-    guidance = np.empty((len(images), 1, *features.shape[2:]), dtype=np.float32)
-    for i, guide in enumerate(np.argmax(logits_a, axis=1)):
-        cam = normalize_minmax(class_map(scores_a[i], int(guide)))
-        guidance[i, 0] = (complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)).values
-    scores_b, logits_b = head("branch_b", features * guidance)
     return scores_a, scores_b, logits_a, logits_b
 
 
-def dual_branch_loss(logits_a: Tensor, logits_b: Tensor, label: int) -> Tensor:
-    """Sum of the two branches' softmax cross entropies."""
+def dual_branch_loss(logits_a: Tensor, logits_b: Tensor, label) -> Tensor:
+    """Sum of the two branches' softmax cross entropies; for (N,C) logits
+    and N labels, summed over the samples too."""
     return add(softmax_cross_entropy(logits_a, label), softmax_cross_entropy(logits_b, label))
+
+
+def _train_chunk(params: ModelParams, images: np.ndarray, labels: np.ndarray, config: TrainConfig):
+    """Forward and backward over one chunk, guided by the labels; gradients
+    accumulate into the parameters. Returns the chunk's loss sum and each
+    branch's top-1 hits. The chunk's graph is freed on return."""
+    art = forward(
+        params, images, guide_class=labels, mode=config.guidance_mode, erase_threshold=config.erase_threshold
+    )
+    loss = dual_branch_loss(art.logits_a, art.logits_b, labels)
+    backward(loss)
+    hits_a = int((np.argmax(art.logits_a.data, axis=1) == labels).sum())
+    hits_b = int((np.argmax(art.logits_b.data, axis=1) == labels).sum())
+    return float(loss.data), hits_a, hits_b
 
 
 def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> TrainReport:
     """SGD training; guidance follows the ground-truth label.
 
-    Per-sample gradients are accumulated and averaged over each batch; the
+    Each batch runs as chunks of ``TRAIN_CHUNK`` samples, one graph per
+    chunk; their gradients accumulate and are averaged over the batch. The
     sample order is reshuffled every epoch by a generator seeded from
     ``config.seed``, so identical configs reproduce identical runs.
     """
     samples = list(dataset)
     if not samples:
         raise ValueError("training dataset is empty")
+    labels = np.array([sample.label for sample in samples])
     rng = np.random.default_rng(config.seed)
     trainable = params.trainable()
     report = TrainReport()
@@ -305,23 +329,15 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
         hits_b = 0
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            for index in batch:
-                sample = samples[index]
-                art = forward(
-                    params,
-                    sample.image,
-                    guide_class=sample.label,
-                    mode=config.guidance_mode,
-                    erase_threshold=config.erase_threshold,
-                )
-                loss = dual_branch_loss(art.logits_a, art.logits_b, sample.label)
-                value = float(loss.data)
+            for offset in range(0, len(batch), TRAIN_CHUNK):
+                chunk = batch[offset : offset + TRAIN_CHUNK]
+                images = np.stack([samples[index].image for index in chunk])
+                value, chunk_a, chunk_b = _train_chunk(params, images, labels[chunk], config)
                 if not np.isfinite(value):
                     raise NumericError(f"non-finite loss at epoch {epoch}")
                 loss_sum += value
-                hits_a += int(np.argmax(art.logits_a.data)) == sample.label
-                hits_b += int(np.argmax(art.logits_b.data)) == sample.label
-                backward(loss)
+                hits_a += chunk_a
+                hits_b += chunk_b
             scale = np.float32(1.0 / len(batch))
             for p in trainable:
                 p.grad *= scale
@@ -342,17 +358,29 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    with open(path, "wb") as handle:
-        handle.write(CHECKPOINT_MAGIC)
-        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-        handle.write(struct.pack("<I", len(params.tensors)))
-        for name, tensor in params.tensors.items():
-            encoded = name.encode("utf-8")
-            handle.write(struct.pack("<H", len(encoded)))
-            handle.write(encoded)
-            handle.write(struct.pack("<B", tensor.ndim))
-            handle.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-            handle.write(tensor.data.astype("<f4", copy=False).tobytes())
+    """Write the checkpoint atomically: into a temporary file beside ``path``,
+    synced, then renamed over it. A failed write leaves an existing file
+    intact and no temporary file behind."""
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, "wb") as handle:
+            handle.write(CHECKPOINT_MAGIC)
+            handle.write(struct.pack("<I", CHECKPOINT_VERSION))
+            handle.write(struct.pack("<I", len(params.tensors)))
+            for name, tensor in params.tensors.items():
+                encoded = name.encode("utf-8")
+                handle.write(struct.pack("<H", len(encoded)))
+                handle.write(encoded)
+                handle.write(struct.pack("<B", tensor.ndim))
+                handle.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+                handle.write(tensor.data.astype("<f4", copy=False).tobytes())
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> ModelParams:

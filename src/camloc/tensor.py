@@ -36,8 +36,8 @@ class Tensor:
     """Dense float32 array with optional gradient tracking.
 
     ``grad`` appears after :func:`backward` and keeps accumulating across
-    calls (supporting per-sample batch accumulation) until cleared by
-    :func:`sgd_step`.
+    calls (supporting accumulation over the chunks of a batch) until cleared
+    by :func:`sgd_step`.
     """
 
     __slots__ = ("data", "grad", "grad_enabled", "_parents", "_backward_fn")
@@ -113,12 +113,18 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.array(g, dtype=np.float32, order="C")  # a copy: backward fns may share g
+    else:
+        t.grad += g
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every grad-enabled ancestor of a scalar loss."""
+    """Populate ``.grad`` on every grad-enabled leaf ancestor of a scalar loss.
+
+    An intermediate result drops its gradient as soon as its backward
+    function has used it, so the gradients of a whole graph are never held
+    at once.
+    """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {list(loss.shape)}")
     if not loss.grad_enabled:
@@ -129,6 +135,7 @@ def backward(loss: Tensor) -> None:
         if node._backward_fn is None or node.grad is None:
             continue
         grads = node._backward_fn(node.grad)
+        node.grad = None
         for parent, grad in zip(node._parents, grads):
             if parent.grad_enabled and grad is not None:
                 _accumulate(parent, grad)
@@ -182,25 +189,23 @@ def tensor_sum(x: Tensor) -> Tensor:
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(0, x); the subgradient at 0 is taken as 0."""
     out = Tensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0
-
-    def bwd(g):
-        return (g * mask,)
-
-    return _record(out, (x,), bwd)
+    return _record(out, (x,), lambda g: (g * (x.data > 0),))
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation of a (Cin,H,W) input with a (Cout,Cin,kh,kw) kernel.
+    """2-d cross-correlation of a (N,Cin,H,W) input with a (Cout,Cin,kh,kw) kernel.
 
-    Zero padding; output spatial size (H + 2*pad - kh)//stride + 1.
+    A (Cin,H,W) input is the N=1 case and gives a (Cout,oh,ow) output. Zero
+    padding; output spatial size (H + 2*pad - kh)//stride + 1. The backward
+    pass recomputes the im2col columns from the input instead of keeping
+    them, and computes no input gradient for an input that takes none.
     """
-    if x.ndim != 3 or kernel.ndim != 4 or bias.ndim != 1:
+    if x.ndim not in (3, 4) or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
-            f"conv2d expects input (Cin,H,W), kernel (Cout,Cin,kh,kw), bias (Cout); "
+            f"conv2d expects input (N,Cin,H,W) or (Cin,H,W), kernel (Cout,Cin,kh,kw), bias (Cout); "
             f"got {x.shape}, {kernel.shape}, {bias.shape}"
         )
-    cin, h, w = x.shape
+    cin, h, w = x.shape[-3:]
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise ValueError(
@@ -214,81 +219,90 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise ValueError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
 
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad))) if pad else x.data
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, out_h * out_w)
-    kmat = kernel.data.reshape(cout, cin * kh * kw)
-    out_data = (kmat @ cols).reshape(cout, out_h, out_w) + bias.data[:, None, None]
-    out = Tensor(out_data)
+    batch = x.data.reshape(-1, cin, h, w)
+    out_data = conv2d_batch(batch, kernel.data, bias.data, pad, stride)
+    n, _, out_h, out_w = out_data.shape
+    out = Tensor(out_data.reshape(*x.shape[:-3], cout, out_h, out_w))
+    input_grad = x.grad_enabled
 
     def bwd(g):
-        gmat = g.reshape(cout, out_h * out_w)
-        g_kernel = (gmat @ cols.T).reshape(kernel.shape)
-        g_bias = g.sum(axis=(1, 2))
-        g_cols = (kmat.T @ gmat).reshape(cin, kh, kw, out_h, out_w)
-        g_xp = np.zeros((cin, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        gmat = g.reshape(n, cout, out_h * out_w).transpose(1, 0, 2).reshape(cout, n * out_h * out_w)
+        g_kernel = (gmat @ _im2col(batch, kh, kw, pad, stride).T).reshape(kernel.shape)
+        g_bias = gmat.sum(axis=1)
+        if not input_grad:
+            return (None, g_kernel, g_bias)
+        g_cols = (kernel.data.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
+        g_xp = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
         for i in range(kh):
             for j in range(kw):
-                g_xp[:, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += g_cols[:, i, j]
-        g_x = g_xp[:, pad : pad + h, pad : pad + w] if pad else g_xp
-        return (g_x, g_kernel, g_bias)
+                g_xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += g_cols[:, i, j]
+        g_x = g_xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+        return (g_x.reshape(x.shape), g_kernel, g_bias)
 
     return _record(out, (x, kernel, bias), bwd)
 
 
 def maxpool2d(x: Tensor) -> Tensor:
-    """2x2 max pooling with stride 2; gradient routes to the first max in
-    row-major window order on ties."""
-    if x.ndim != 3:
-        raise ValueError(f"maxpool2d expects (C,H,W), got {x.shape}")
-    c, h, w = x.shape
+    """2x2 max pooling with stride 2 over the last two axes of a (C,H,W) or
+    (N,C,H,W) input; gradient routes to the first max in row-major window
+    order on ties."""
+    if x.ndim not in (3, 4):
+        raise ValueError(f"maxpool2d expects (C,H,W) or (N,C,H,W), got {x.shape}")
+    h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2d requires even spatial dims, got {h}x{w}")
-    oh, ow = h // 2, w // 2
-    windows = x.data.reshape(c, oh, 2, ow, 2).transpose(0, 1, 3, 2, 4).reshape(c, oh, ow, 4)
-    idx = windows.argmax(axis=-1)
-    out = Tensor(np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0])
+    out_data = maxpool2x2(x.data)
+    out = Tensor(out_data)
 
     def bwd(g):
-        g_windows = np.zeros_like(windows)
-        np.put_along_axis(g_windows, idx[..., None], g[..., None], axis=-1)
-        g_x = g_windows.reshape(c, oh, ow, 2, 2).transpose(0, 1, 3, 2, 4).reshape(c, h, w)
+        # one window position at a time, in row-major order: each takes the
+        # gradient where it equals the max and no earlier position did; the
+        # four positions together write every element of g_x
+        g_x = np.empty_like(x.data)
+        taken = np.zeros(out_data.shape, dtype=bool)
+        for dy in (0, 1):
+            for dx in (0, 1):
+                first = (x.data[..., dy::2, dx::2] == out_data) & ~taken
+                g_x[..., dy::2, dx::2] = g * first
+                taken |= first
         return (g_x,)
 
     return _record(out, (x,), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Per-channel spatial mean: (C,H,W) -> (C,)."""
-    if x.ndim != 3:
-        raise ValueError(f"global_avg_pool expects (C,H,W), got {x.shape}")
-    c, h, w = x.shape
-    out = Tensor(x.data.mean(axis=(1, 2)))
+    """Per-channel spatial mean: (C,H,W) -> (C,), or (N,C,H,W) -> (N,C)."""
+    if x.ndim not in (3, 4):
+        raise ValueError(f"global_avg_pool expects (C,H,W) or (N,C,H,W), got {x.shape}")
+    h, w = x.shape[-2:]
+    out = Tensor(x.data.mean(axis=(-2, -1)))
 
     def bwd(g):
         scale = np.float32(1.0 / (h * w))
-        return (np.broadcast_to((g * scale)[:, None, None], (c, h, w)).copy(),)
+        return (np.broadcast_to((g * scale)[..., None, None], x.shape),)
 
     return _record(out, (x,), bwd)
 
 
 def broadcast_mul_channels(features: Tensor, mask: Tensor) -> Tensor:
-    """Scale every channel of (K,H,W) features by a (H,W) map.
+    """Scale every channel of (K,H,W) features by a (H,W) map, or of
+    (N,K,H,W) features by each sample's map in (N,H,W).
 
     The map is treated as a constant during backprop: complement and
     threshold guidance masks are not differentiated through.
     """
-    if features.ndim != 3 or mask.ndim != 2:
-        raise ValueError(f"expected (K,H,W) features and (H,W) map, got {features.shape}, {mask.shape}")
-    if features.shape[1:] != mask.shape:
+    if features.ndim not in (3, 4) or mask.ndim != features.ndim - 1:
+        raise ValueError(
+            f"expected (K,H,W) features with a (H,W) map or (N,K,H,W) with (N,H,W), "
+            f"got {features.shape}, {mask.shape}"
+        )
+    if mask.shape != features.shape[:-3] + features.shape[-2:]:
         raise ValueError(f"spatial shape mismatch: features {features.shape} vs map {mask.shape}")
-    mask_data = mask.data
-    out = Tensor(features.data * mask_data[None])
+    mask_data = mask.data[..., None, :, :]
+    out = Tensor(features.data * mask_data)
 
     def bwd(g):
-        return (g * mask_data[None],)
+        return (g * mask_data,)
 
     return _record(out, (features,), bwd)
 
@@ -300,23 +314,32 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-def softmax_cross_entropy(logits: Tensor, label: int) -> Tensor:
-    """Negative log-likelihood of ``label`` under softmax(logits); scalar."""
-    if logits.ndim != 1:
-        raise ValueError(f"softmax_cross_entropy expects 1-d logits, got {logits.shape}")
-    n = logits.shape[0]
-    if not 0 <= label < n:
+def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
+    """Negative log-likelihood of ``label`` under softmax(logits), a scalar.
+
+    1-d logits take one int label; (N,C) logits take N labels and give the
+    sum of the N samples' losses.
+    """
+    if logits.ndim not in (1, 2):
+        raise ValueError(f"softmax_cross_entropy expects (C,) or (N,C) logits, got {logits.shape}")
+    z = logits.data.reshape(-1, logits.shape[-1])
+    labels = np.asarray(label).reshape(-1)
+    if labels.shape != (len(z),):
+        raise ValueError(f"expected {len(z)} labels for logits {logits.shape}, got {labels.shape}")
+    n = z.shape[1]
+    if labels.min() < 0 or labels.max() >= n:
         raise IndexError(f"label {label} out of range for {n} classes")
-    z = logits.data - logits.data.max()
+    rows = np.arange(len(z))
+    z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
-    total = e.sum()
-    out = Tensor(np.float32(np.log(total) - z[label]))
-    probs = e / total
+    total = e.sum(axis=1)
+    out = Tensor(np.float32((np.log(total) - z[rows, labels]).sum()))
+    probs = e / total[:, None]
 
     def bwd(g):
         grad = probs.copy()
-        grad[label] -= 1.0
-        return (grad * np.float32(g),)
+        grad[rows, labels] -= 1.0
+        return ((grad * np.float32(g)).reshape(logits.shape),)
 
     return _record(out, (logits,), bwd)
 
@@ -342,7 +365,7 @@ def bilinear_upsample(m: Tensor, out_h: int, out_w: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# graph-free numpy kernels for inference, on a leading batch axis
+# numpy kernels on a leading batch axis, behind the ops above and usable graph-free
 
 
 def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
@@ -374,19 +397,28 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     )
 
 
-def conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int) -> np.ndarray:
-    """Stride-1, zero-padded cross-correlation of (N,Cin,H,W) inputs with a
-    (Cout,Cin,kh,kw) kernel: one im2col GEMM for the batch, returned as a
-    (N,Cout,oh,ow) transposed view."""
+def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int) -> np.ndarray:
+    """The (Cin*kh*kw, N*oh*ow) column matrix of zero-padded (N,Cin,H,W) inputs."""
     n, cin, h, w = x.shape
+    if pad:
+        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        x = xp
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    _, _, out_h, out_w = windows.shape[:4]
+    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
+
+
+def conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, stride: int = 1) -> np.ndarray:
+    """Zero-padded cross-correlation of (N,Cin,H,W) inputs with a
+    (Cout,Cin,kh,kw) kernel: one im2col GEMM for the batch, returned as a
+    contiguous (N,Cout,oh,ow) array."""
+    n, _, h, w = x.shape
     cout, _, kh, kw = kernel.shape
-    xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-    xp[:, :, pad : pad + h, pad : pad + w] = x
-    out_h, out_w = h + 2 * pad - kh + 1, w + 2 * pad - kw + 1
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
-    out = (kernel.reshape(cout, -1) @ cols).reshape(cout, n, out_h, out_w) + bias[:, None, None, None]
-    return out.transpose(1, 0, 2, 3)
+    out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    gemm = (kernel.reshape(cout, -1) @ _im2col(x, kh, kw, pad, stride)).reshape(cout, n, out_h, out_w)
+    out = np.empty((n, cout, out_h, out_w), dtype=gemm.dtype)
+    return np.add(gemm.transpose(1, 0, 2, 3), bias[:, None, None], out=out)
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:

@@ -161,6 +161,28 @@ def max_rel_err(analytic, numeric, exempt=1e-6):
 
 
 # ---------------------------------------------------------------------------
+# training, one sample at a time
+
+
+def per_sample_sgd_step(params, samples, config):
+    """One SGD step over ``samples`` as a single batch, the way training ran
+    before chunking: one graph and one backward per (3,H,W) sample, the
+    gradients summed, then scaled by 1/len(samples)."""
+    from camloc import backward, dual_branch_loss, forward, sgd_step
+
+    trainable = params.trainable()
+    for sample in samples:
+        art = forward(
+            params, sample.image, guide_class=sample.label,
+            mode=config.guidance_mode, erase_threshold=config.erase_threshold,
+        )
+        backward(dual_branch_loss(art.logits_a, art.logits_b, sample.label))
+    for p in trainable:
+        p.grad *= np.float32(1.0 / len(samples))
+    sgd_step(trainable, config.learning_rate)
+
+
+# ---------------------------------------------------------------------------
 # hand-built model whose score maps respond to object brightness
 
 

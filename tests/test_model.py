@@ -19,6 +19,8 @@ from camloc import (
 from camloc.model import backbone_forward, head_forward, predict_maps
 from camloc.tensor import no_grad
 
+import oracles
+
 
 def small_config(**overrides):
     defaults = dict(
@@ -162,6 +164,34 @@ class TestForward:
         with pytest.raises(ValueError, match="guidance mode"):
             forward(params, np.zeros((3, 32, 32), dtype=np.float32), guide_class=0, mode="erase")
 
+    @pytest.mark.parametrize("mode", ["ccam", "threshold"])
+    @pytest.mark.parametrize("labelled", [True, False])
+    def test_stack_equals_per_image(self, mode, labelled):
+        params = init_model(small_config())
+        _, samples = small_dataset(n_test=5)
+        images = np.stack([s.image for s in samples])
+        labels = [s.label for s in samples] if labelled else [None] * 5
+        art = forward(params, images, guide_class=labels if labelled else None, mode=mode)
+        assert art.score_maps_a.shape == (5, 4, 4, 4)
+        assert art.guidance.values.shape == (5, 4, 4)
+        for i, image in enumerate(images):
+            one = forward(params, image, guide_class=labels[i], mode=mode)
+            assert art.guide_class[i] == one.guide_class
+            np.testing.assert_array_equal(art.guidance.values[i], one.guidance.values)
+            for field in ("features", "score_maps_a", "score_maps_b", "logits_a", "logits_b"):
+                np.testing.assert_array_equal(getattr(art, field).data[i], getattr(one, field).data, err_msg=field)
+
+    def test_stack_needs_one_guide_class_per_image(self):
+        params = init_model(small_config())
+        with pytest.raises(ValueError, match="guide classes"):
+            forward(params, np.zeros((3, 3, 32, 32), dtype=np.float32), guide_class=[0, 1])
+
+    def test_non_finite_branch_a_maps_raise_numeric_error(self):
+        params = init_model(small_config())
+        params["backbone.0.bias"].data[0] = np.nan
+        with pytest.raises(NumericError, match="branch_a"):
+            forward(params, np.zeros((3, 32, 32), dtype=np.float32), guide_class=0)
+
 
 class TestPredictMaps:
     def trained(self):
@@ -257,6 +287,22 @@ class TestTrain:
         for name in params_a.tensors:
             assert np.array_equal(params_a[name].data, params_b[name].data)
 
+    @pytest.mark.parametrize("mode", ["ccam", "threshold"])
+    def test_chunked_step_equals_per_sample_accumulation(self, mode):
+        # 6 samples in one batch: a full chunk and a partial one
+        train_split, _ = small_dataset(n_train=6)
+        config = TrainConfig(epochs=1, batch_size=6, learning_rate=1.0, guidance_mode=mode, seed=1)
+        initial = init_model(small_config())
+        chunked, reference = initial.clone(), initial.clone()
+        train(chunked, train_split, config)
+        oracles.per_sample_sgd_step(reference, train_split, config)
+        for name, start in initial.tensors.items():
+            step = chunked[name].data - start.data
+            expected = reference[name].data - start.data
+            scale = np.abs(expected).max()
+            assert scale > 0, name
+            assert np.abs(step - expected).max() <= 1e-4 * scale, name
+
     def test_empty_dataset_errors(self):
         with pytest.raises(ValueError, match="empty"):
             train(init_model(small_config()), [], TrainConfig())
@@ -332,6 +378,24 @@ class TestCheckpoint:
         path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointError, match="unexpected end of file"):
             load_checkpoint(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.bin"
+        params = init_model(small_config())
+        save_checkpoint(params, path)
+        before = path.read_bytes()
+
+        class FailingData:
+            ndim, shape = 1, (4,)
+
+            def astype(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        monkeypatch.setattr(params["branch_b.score.bias"], "data", FailingData())
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(params, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
 
     def test_trailing_data_rejected(self, tmp_path):
         path = tmp_path / "extra.bin"

@@ -76,6 +76,23 @@ class TestConv2d:
         ref = oracles.conv2d_ref(x, k, b, stride=2, pad=1)
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_batch_matches_reference_per_sample(self, stride):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(3, 2, 6, 7)).astype(np.float32)
+        k = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
+        b = rng.normal(size=4).astype(np.float32)
+        out = conv2d(t(x), t(k), t(b), stride=stride, pad=1)
+        ref = np.stack([oracles.conv2d_ref(sample, k, b, stride=stride, pad=1) for sample in x])
+        np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
+
+    def test_no_input_gradient_without_grad(self):
+        x = t(np.ones((2, 1, 4, 4)))
+        k = t(np.ones((1, 1, 3, 3)), grad=True)
+        backward(tensor_sum(conv2d(x, k, t([0.0]), pad=1)))
+        assert x.grad is None
+        assert k.grad is not None
+
     def test_purity_and_no_input_mutation(self):
         rng = np.random.default_rng(5)
         x = t(rng.normal(size=(2, 4, 4)).astype(np.float32))
@@ -120,6 +137,17 @@ class TestMaxpool2d:
         x = t(np.ones((1, 2, 2)), grad=True)
         backward(tensor_sum(maxpool2d(x)))
         np.testing.assert_array_equal(x.grad[0], [[1.0, 0.0], [0.0, 0.0]])
+
+    def test_tie_gradient_goes_to_first_row_major_batched(self):
+        # sample 0: all four tie; the three lower-right entries tie
+        # sample 1: the bottom row ties; all four tie at zero
+        x = t([[[[1, 1, 0, 2], [1, 1, 2, 2]]], [[[1, 0, 0, 0], [3, 3, 0, 0]]]], grad=True)
+        out = maxpool2d(x)
+        np.testing.assert_array_equal(out.data, [[[[1, 2]]], [[[3, 0]]]])
+        backward(tensor_sum(out))
+        np.testing.assert_array_equal(
+            x.grad, [[[[1, 0, 0, 1], [0, 0, 0, 0]]], [[[0, 0, 1, 0], [1, 0, 0, 0]]]]
+        )
 
     def test_odd_dims_error(self):
         with pytest.raises(ValueError, match="even"):
@@ -253,6 +281,13 @@ class TestBackward:
         backward(tensor_sum(x))
         backward(tensor_sum(x))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+
+    def test_repeated_backward_on_one_graph_adds_one_gradient_per_call(self):
+        x = t([1.0, -1.0], grad=True)
+        loss = tensor_sum(relu(x))
+        backward(loss)
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 0.0])
 
     def test_no_grad_disables_recording(self):
         x = t([1.0, 2.0], grad=True)
