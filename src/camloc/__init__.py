@@ -20,7 +20,7 @@ from .fusion import (
     localization_map,
 )
 from .imageio import read_pgm, read_ppm, write_pgm, write_ppm
-from .metrics import BBox, EvalRecord, MetricsReport, evaluate, extract_bbox, iou, write_records
+from .metrics import BBox, EvalRecord, MetricsReport, evaluate, extract_bbox, extract_bboxes, iou, write_records
 from .model import (
     CheckpointError,
     ForwardArtifacts,

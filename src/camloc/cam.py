@@ -26,7 +26,8 @@ def class_map(score_maps: np.ndarray, class_index: int) -> CamMap:
 
 
 def normalize_minmax(m: CamMap | np.ndarray) -> CamMap:
-    """Rescale to [0,1] via (v - min) / (max - min).
+    """Rescale each map to [0,1] via (v - min) / (max - min), over the last
+    two axes: an (h,w) map, or a stack (..., h, w) normalized map by map.
 
     A constant map normalizes to all zeros, so its complement is all ones
     and the guided branch sees everything.
@@ -34,12 +35,11 @@ def normalize_minmax(m: CamMap | np.ndarray) -> CamMap:
     values = m.values if isinstance(m, CamMap) else np.asarray(m, dtype=np.float32)
     if not np.isfinite(values).all():
         raise ValueError("cannot normalize a map containing non-finite values")
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
-        out = np.zeros_like(values)
-    else:
-        out = (values - lo) / (hi - lo)
+    lo = values.min(axis=(-2, -1), keepdims=True)
+    hi = values.max(axis=(-2, -1), keepdims=True)
+    out = values - lo
+    # a constant map is already all zeros here; dividing by 1 keeps it so
+    out /= np.where(hi == lo, 1, hi - lo)
     return CamMap(out.astype(np.float32, copy=False), normalized=True)
 
 

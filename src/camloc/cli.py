@@ -19,7 +19,7 @@ import numpy as np
 from .cam import class_map, complement, normalize_minmax
 from .data import DatasetConfig, Sample, generate_dataset, read_annotations, write_annotations
 from .fusion import STRATEGIES, FusionConfig
-from .imageio import read_ppm, write_pgm, write_ppm
+from .imageio import atomic_write, read_ppm, write_pgm, write_ppm
 from .metrics import evaluate, localize, write_records
 from .model import (
     GUIDANCE_MODES,
@@ -29,6 +29,7 @@ from .model import (
     TrainConfig,
     init_model,
     load_checkpoint,
+    param_shapes,
     predict_maps,
     save_checkpoint,
     train,
@@ -212,7 +213,8 @@ def write_manifest(cfg: RunConfig, path) -> None:
         f"out_dir = {cfg.out_dir}",
         "",
     ]
-    Path(path).write_text("\n".join(lines), encoding="utf-8")
+    with atomic_write(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +259,17 @@ def _load_params(cfg: RunConfig):
         raise DataError(
             f"checkpoint {path} has {params.num_classes} classes but the dataset has {cfg.dataset.num_classes}"
         )
+    expected = param_shapes(cfg.model_config())
+    found = {name: tensor.shape for name, tensor in params.tensors.items()}
+    for name in sorted(expected.keys() | found.keys()):
+        if name not in found:
+            raise DataError(f"checkpoint {path} lacks tensor {name} of the configured model")
+        if name not in expected:
+            raise DataError(f"checkpoint {path} has tensor {name}, which the configured model lacks")
+        if found[name] != expected[name]:
+            raise DataError(
+                f"checkpoint {path} tensor {name} has shape {found[name]}; the configured model needs {expected[name]}"
+            )
     return params
 
 
@@ -292,7 +305,8 @@ def cmd_train(cfg: RunConfig) -> None:
         f"{epoch},{loss:.6f},{acc_a:.4f},{acc_b:.4f}"
         for epoch, (loss, acc_a, acc_b) in enumerate(zip(report.losses, report.acc_a, report.acc_b))
     ]
-    (out / "train_log.csv").write_text("\n".join(log_lines) + "\n", encoding="ascii")
+    with atomic_write(out / "train_log.csv", "w", encoding="ascii") as handle:
+        handle.write("\n".join(log_lines) + "\n")
     write_manifest(cfg, out / "manifest_train.cfg")
     print(f"checkpoint written to {_checkpoint_path(cfg)}")
 
@@ -342,14 +356,15 @@ def cmd_visualize(cfg: RunConfig) -> None:
         params, sample.image[None], cfg.train.guidance_mode, cfg.train.erase_threshold
     )
     predicted = int(np.argmax((logits_a[0] + logits_b[0]) / 2))
-    (box,), (fused_full,) = localize(
-        score_a[0], score_b[0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau, cfg.single_branch
+    (box,), fused_full = localize(
+        score_a, score_b, [0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau, cfg.single_branch
     )
     cam_a = normalize_minmax(class_map(score_a[0], predicted))
     cam_b = normalize_minmax(class_map(score_b[0], predicted))
-    for name, values in (("cam_a", cam_a.values), ("ccam", complement(cam_a).values), ("cam_b", cam_b.values)):
-        write_pgm(upsample_bilinear(values, height, width), out / f"{name}.pgm")
-    write_pgm(fused_full, out / "fused.pgm")
+    maps = upsample_bilinear(np.stack([cam_a.values, complement(cam_a).values, cam_b.values]), height, width)
+    for name, values in zip(("cam_a", "ccam", "cam_b"), maps):
+        write_pgm(values, out / f"{name}.pgm")
+    write_pgm(fused_full[0], out / "fused.pgm")
 
     overlay = sample.image.copy()
     _draw_box_outline(overlay, sample.gt_box, channel=0)  # ground truth in red

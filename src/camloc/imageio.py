@@ -1,8 +1,32 @@
-"""Binary PPM (P6) and PGM (P5) codecs, 8-bit, dependency-free."""
+"""Binary PPM (P6) and PGM (P5) codecs, 8-bit, dependency-free, and the
+atomic file write that checkpoints, records and manifests go through."""
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
+from pathlib import Path
+
 import numpy as np
+
+
+@contextmanager
+def atomic_write(path, mode: str = "wb", encoding: str | None = None):
+    """Open a temporary file beside ``path`` for writing. When the block
+    ends it is synced and renamed over ``path``; when the block raises it is
+    deleted, so a failed write leaves an existing file intact and no
+    temporary file behind."""
+    path = Path(path)
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with open(temp, mode, encoding=encoding) as handle:
+            yield handle
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _quantize(values: np.ndarray) -> np.ndarray:

@@ -10,14 +10,17 @@ branches' cross entropies.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .cam import CamMap, class_map, complement, normalize_minmax, threshold_erase
+from .cam import CamMap, complement, normalize_minmax, threshold_erase
+from .imageio import atomic_write
+
+# not called here any more, but perfbench/tracer.py patches it in this module
+from .cam import class_map  # noqa: F401
 from .tensor import (
     Tensor,
     add,
@@ -148,14 +151,13 @@ def _glorot(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape).astype(np.float32)
 
 
-def init_model(config: ModelConfig) -> ModelParams:
-    """Deterministic Glorot-uniform init from a seeded PCG64 generator."""
-    rng = np.random.default_rng(config.seed)
-    tensors: dict[str, Tensor] = {}
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every parameter tensor, in initialization order."""
+    shapes: dict[str, tuple[int, ...]] = {}
 
     def conv_param(name: str, shape: tuple[int, ...]) -> None:
-        tensors[f"{name}.weight"] = Tensor(_glorot(rng, shape), grad_enabled=True)
-        tensors[f"{name}.bias"] = Tensor(np.zeros(shape[0], dtype=np.float32), grad_enabled=True)
+        shapes[f"{name}.weight"] = shape
+        shapes[f"{name}.bias"] = (shape[0],)
 
     in_ch = 3
     for i, out_ch in enumerate(config.backbone_channels):
@@ -165,7 +167,20 @@ def init_model(config: ModelConfig) -> ModelParams:
         conv_param(f"{branch}.conv1", (config.head_width, config.backbone_channels[-1], 3, 3))
         conv_param(f"{branch}.conv2", (config.head_width, config.head_width, 3, 3))
         conv_param(f"{branch}.score", (config.num_classes, config.head_width, 1, 1))
-    return ModelParams(tensors)
+    return shapes
+
+
+def init_model(config: ModelConfig) -> ModelParams:
+    """Deterministic init from a seeded PCG64 generator: Glorot-uniform
+    weights drawn in :func:`param_shapes` order, zero biases."""
+    rng = np.random.default_rng(config.seed)
+    return ModelParams({
+        name: Tensor(
+            _glorot(rng, shape) if name.endswith(".weight") else np.zeros(shape, dtype=np.float32),
+            grad_enabled=True,
+        )
+        for name, shape in param_shapes(config).items()
+    })
 
 
 def _conv_block(params: ModelParams, name: str, x: Tensor) -> Tensor:
@@ -201,11 +216,8 @@ def _guidance_masks(score_maps_a: np.ndarray, guides, mode: str, erase_threshold
     class map, normalized, then complemented (ccam) or thresholded."""
     if not np.isfinite(score_maps_a).all():
         raise NumericError("non-finite branch_a score maps")
-    masks = np.empty((len(score_maps_a), *score_maps_a.shape[2:]), dtype=np.float32)
-    for i, guide in enumerate(guides):
-        cam = normalize_minmax(class_map(score_maps_a[i], int(guide)))
-        masks[i] = (complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)).values
-    return masks
+    cam = normalize_minmax(score_maps_a[np.arange(len(score_maps_a)), guides])
+    return (complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)).values
 
 
 def forward(
@@ -358,29 +370,18 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Write the checkpoint atomically: into a temporary file beside ``path``,
-    synced, then renamed over it. A failed write leaves an existing file
-    intact and no temporary file behind."""
-    path = Path(path)
-    temp = path.with_name(path.name + ".tmp")
-    try:
-        with open(temp, "wb") as handle:
-            handle.write(CHECKPOINT_MAGIC)
-            handle.write(struct.pack("<I", CHECKPOINT_VERSION))
-            handle.write(struct.pack("<I", len(params.tensors)))
-            for name, tensor in params.tensors.items():
-                encoded = name.encode("utf-8")
-                handle.write(struct.pack("<H", len(encoded)))
-                handle.write(encoded)
-                handle.write(struct.pack("<B", tensor.ndim))
-                handle.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-                handle.write(tensor.data.astype("<f4", copy=False).tobytes())
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+    """Write the checkpoint atomically (see :func:`atomic_write`)."""
+    with atomic_write(path) as handle:
+        handle.write(CHECKPOINT_MAGIC)
+        handle.write(struct.pack("<I", CHECKPOINT_VERSION))
+        handle.write(struct.pack("<I", len(params.tensors)))
+        for name, tensor in params.tensors.items():
+            encoded = name.encode("utf-8")
+            handle.write(struct.pack("<H", len(encoded)))
+            handle.write(encoded)
+            handle.write(struct.pack("<B", tensor.ndim))
+            handle.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            handle.write(tensor.data.astype("<f4", copy=False).tobytes())
 
 
 def load_checkpoint(path) -> ModelParams:

@@ -387,14 +387,12 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, w - 1)
     wy = fy[:, None]
     wx = fx[None, :]
-    # rows first, then columns: two 1-d gathers beat one 2-d fancy index
-    row0, row1 = maps[..., y0, :], maps[..., np.minimum(y0 + 1, h - 1), :]
-    return (
-        row0[..., x0] * (1 - wy) * (1 - wx)
-        + row0[..., x1] * (1 - wy) * wx
-        + row1[..., x0] * wy * (1 - wx)
-        + row1[..., x1] * wy * wx
-    )
+    # rows first, then columns: two 1-d gathers beat one 2-d fancy index.
+    # The row weights go in before the column gather, on out_h x w instead of
+    # out_h x out_w; each term is still (value * row weight) * column weight.
+    top = maps[..., y0, :] * (1 - wy)
+    bottom = maps[..., np.minimum(y0 + 1, h - 1), :] * wy
+    return top[..., x0] * (1 - wx) + top[..., x1] * wx + bottom[..., x0] * (1 - wx) + bottom[..., x1] * wx
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int) -> np.ndarray:

@@ -80,6 +80,32 @@ def bilinear_upsample_ref(m, out_h, out_w):
     return out
 
 
+def upsample_bilinear_4term_ref(maps, out_h, out_w):
+    """The float32 kernel as it was before the row weights moved in ahead of
+    the column gather: four gathered corners, each times both weights."""
+    h, w = maps.shape[-2:]
+
+    def axis_coords(n_in, n_out):
+        if n_in == 1 or n_out == 1:
+            return np.zeros(n_out, dtype=np.intp), np.zeros(n_out, dtype=np.float32)
+        src = np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
+        i0 = np.minimum(np.floor(src).astype(np.intp), n_in - 2)
+        return i0, (src - i0).astype(np.float32)
+
+    y0, fy = axis_coords(h, out_h)
+    x0, fx = axis_coords(w, out_w)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = fy[:, None]
+    wx = fx[None, :]
+    row0, row1 = maps[..., y0, :], maps[..., np.minimum(y0 + 1, h - 1), :]
+    return (
+        row0[..., x0] * (1 - wy) * (1 - wx)
+        + row0[..., x1] * (1 - wy) * wx
+        + row1[..., x0] * wy * (1 - wx)
+        + row1[..., x1] * wy * wx
+    )
+
+
 def block_average_ref(values, radius):
     values = np.asarray(values, dtype=np.float64)
     h, w = values.shape
@@ -113,6 +139,22 @@ def l1norm_fusion_ref(score_maps_a, score_maps_b, class_index, radius):
                 wa = wb = 0.5
             out[y, x] = wa * sa[class_index, y, x] + wb * sb[class_index, y, x]
     return out
+
+
+def extract_bbox_ref(heatmap, tau):
+    """Box extraction one 2-d map at a time: label the 4-connected mask,
+    count component sizes, take the first largest and its bounding slices."""
+    from scipy import ndimage
+
+    from camloc import BBox
+
+    arr = np.asarray(heatmap, dtype=np.float32)
+    mask = arr >= tau * arr.max()
+    labels, _ = ndimage.label(mask, structure=ndimage.generate_binary_structure(2, 1))
+    sizes = np.bincount(labels.ravel())[1:]
+    largest = int(np.argmax(sizes)) + 1
+    rows, cols = ndimage.find_objects(labels, max_label=largest)[-1]
+    return BBox(cols.start, rows.start, cols.stop, rows.stop)
 
 
 def iou_pixel_count_ref(box_a, box_b, height, width):

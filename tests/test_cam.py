@@ -58,6 +58,22 @@ class TestNormalizeMinmax:
         with pytest.raises(ValueError, match="non-finite"):
             normalize_minmax(np.array([[np.inf, 1.0]], dtype=np.float32))
 
+    def test_stack_normalizes_map_by_map(self):
+        rng = np.random.default_rng(14)
+        stack = rng.normal(size=(2, 3, 5, 6)).astype(np.float32) * 10
+        stack[1, 2] = 4.0  # one constant map among them
+        out = normalize_minmax(stack).values
+        assert out.dtype == np.float32 and out.shape == stack.shape
+        np.testing.assert_array_equal(out[1, 2], np.zeros((5, 6)))
+        for index in np.ndindex(2, 3):
+            np.testing.assert_array_equal(out[index], normalize_minmax(stack[index]).values)
+
+    def test_non_finite_in_stack_errors(self):
+        stack = np.zeros((3, 4, 4), dtype=np.float32)
+        stack[2, 1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_minmax(stack)
+
     @given(finite_maps)
     @settings(max_examples=50, deadline=None)
     def test_idempotent_unless_degenerate(self, values):

@@ -201,6 +201,28 @@ class TestEvalCommand:
             err = capsys.readouterr().err
             assert "3 classes" in err and "has 4" in err
 
+    def test_missing_or_extra_tensor_is_data_error(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        params = oracles.objectness_params()
+        del params.tensors["branch_b.conv2.weight"]
+        save_checkpoint(params, out / "checkpoint.bin")
+        assert run("eval", "--config", cfg_path, "--out", str(out)) == 2
+        assert "lacks tensor branch_b.conv2.weight" in capsys.readouterr().err
+        params = oracles.objectness_params()
+        params.tensors["branch_c.score.bias"] = params["branch_b.score.bias"]
+        save_checkpoint(params, out / "checkpoint.bin")
+        assert run("visualize", "--config", cfg_path, "--out", str(out)) == 2
+        assert "has tensor branch_c.score.bias" in capsys.readouterr().err
+
+    def test_misshaped_tensor_is_data_error(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        params = oracles.objectness_params()
+        params.tensors["branch_a.conv1.weight"].data = np.zeros((4, 3, 3, 3), dtype=np.float32)
+        save_checkpoint(params, out / "checkpoint.bin")
+        assert run("eval", "--config", cfg_path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "branch_a.conv1.weight has shape (4, 3, 3, 3)" in err and "(4, 4, 3, 3)" in err
+
     def test_non_finite_weight_is_numeric_failure(self, capsys, oracle_run):
         cfg_path, out = oracle_run
         params = oracles.objectness_params()

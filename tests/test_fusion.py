@@ -267,18 +267,18 @@ class TestLocalizationMaps:
     )
     def test_equals_per_class_maps_bit_for_bit(self, strategy, single):
         rng = np.random.default_rng(13)
-        sa = rng.normal(size=(6, 8, 8)).astype(np.float32)
-        sb = rng.normal(size=(6, 8, 8)).astype(np.float32)
+        sa = rng.normal(size=(3, 6, 8, 8)).astype(np.float32)
+        sb = rng.normal(size=(3, 6, 8, 8)).astype(np.float32)
         config = FusionConfig(strategy)
-        classes = [4, 0, 5, 2]
-        maps = localization_maps(sa, sb, classes, config, single)
-        assert maps.shape == (4, 8, 8)
-        for k, c in enumerate(classes):
-            expected = per_class_map(sa, sb, c, config, single)
+        samples, classes = [0, 0, 2, 1, 2, 0], [4, 0, 5, 2, 4, 5]
+        maps = localization_maps(sa, sb, samples, classes, config, single)
+        assert maps.shape == (6, 8, 8)
+        for k, (s, c) in enumerate(zip(samples, classes)):
+            expected = per_class_map(sa[s], sb[s], c, config, single)
             np.testing.assert_array_equal(maps[k], expected)
-            np.testing.assert_array_equal(localization_map(sa, sb, c, config, single), expected)
+            np.testing.assert_array_equal(localization_map(sa[s], sb[s], c, config, single), expected)
 
     def test_class_out_of_range(self):
-        maps = np.zeros((3, 4, 4), dtype=np.float32)
+        maps = np.zeros((2, 3, 4, 4), dtype=np.float32)
         with pytest.raises(IndexError, match="class 3"):
-            localization_maps(maps, maps, [0, 3], FusionConfig("addition"))
+            localization_maps(maps, maps, [0, 1], [0, 3], FusionConfig("addition"))

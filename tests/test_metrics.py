@@ -10,10 +10,9 @@ from camloc import (
     FusionConfig,
     ModelConfig,
     Sample,
-    Tensor,
-    bilinear_upsample,
     evaluate,
     extract_bbox,
+    extract_bboxes,
     forward,
     generate_dataset,
     init_model,
@@ -21,8 +20,10 @@ from camloc import (
     localization_map,
     no_grad,
     normalize_minmax,
+    write_records,
 )
 from camloc.metrics import gt_known_correct, localization_flags
+from camloc.tensor import upsample_bilinear
 
 import oracles
 
@@ -111,6 +112,68 @@ class TestExtractBbox:
                 previous_area = box.area
 
 
+def box_test_maps(rng):
+    """510 64x64 maps: smooth upsampled, noisy, all-zero, constant, and two
+    equal-size blocks (the size tie goes to the first in raster order)."""
+    smooth = upsample_bilinear(rng.normal(size=(240, 8, 8)).astype(np.float32), 64, 64)
+    smooth[120:] = np.maximum(smooth[120:], 0)  # clipped: several separate blobs
+    noisy = rng.uniform(size=(200, 64, 64)).astype(np.float32)
+    zero = np.zeros((10, 64, 64), dtype=np.float32)
+    constant = np.full((10, 64, 64), 0.7, dtype=np.float32)
+    ties = np.zeros((50, 64, 64), dtype=np.float32)
+    for tie in ties:
+        size = rng.integers(2, 7)
+        y1, x1 = rng.integers(0, 26, size=2)
+        y2, x2 = rng.integers(34, 64 - size, size=2)
+        if rng.uniform() < 0.5:  # first block top right, second bottom left
+            x1, x2 = x2, x1
+        tie[y1 : y1 + size, x1 : x1 + size] = 1.0
+        tie[y2 : y2 + size, x2 : x2 + size] = 1.0
+    maps = np.concatenate([normalize_minmax(smooth).values, noisy, zero, constant, ties])
+    return maps[rng.permutation(len(maps))]
+
+
+class TestExtractBboxes:
+    @pytest.mark.parametrize("tau", [0.1, 0.2, 0.35, 0.5])
+    def test_equals_per_map_reference(self, tau):
+        maps = box_test_maps(np.random.default_rng(31))
+        expected = [oracles.extract_bbox_ref(m, tau) for m in maps]
+        assert extract_bboxes(maps, tau) == expected
+        chunked = [box for start in range(0, len(maps), 7) for box in extract_bboxes(maps[start : start + 7], tau)]
+        assert chunked == expected
+        assert [extract_bbox(m, tau) for m in maps[:40]] == expected[:40]
+
+    def test_tie_goes_to_first_component_in_raster_order(self):
+        heat = np.zeros((2, 8, 8), dtype=np.float32)
+        heat[0, 5:7, 0:2] = heat[0, 0:2, 5:7] = 1.0
+        heat[1, 0:2, 0:2] = heat[1, 6:8, 6:8] = 1.0
+        assert extract_bboxes(heat, 0.5) == [BBox(5, 0, 7, 2), BBox(0, 0, 2, 2)]
+
+    def test_map_with_nothing_above_threshold_errors(self):
+        heat = np.zeros((2, 4, 4), dtype=np.float32)
+        heat[1] = -1.0  # tau * max lies above every value
+        with pytest.raises(ValueError):
+            extract_bboxes(heat, 0.5)
+
+    def test_needs_a_stack(self):
+        with pytest.raises(ValueError, match=r"\(M,H,W\)"):
+            extract_bboxes(np.ones((4, 4), dtype=np.float32), 0.5)
+
+
+class TestWriteRecords:
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "records_ccam_addition.csv"
+        record = EvalRecord("00000", 1, [1, 0], [BBox(0, 0, 2, 2)] * 2, [0.5, 0.25], BBox(0, 0, 2, 2), False)
+        write_records([record], path)
+        before = path.read_bytes()
+        assert before == b"00000,1,1,0,0.500000,0.250000,0\n"
+        broken = EvalRecord("00001", 1, [1, 0], [BBox(0, 0, 2, 2)] * 2, [0.5, "n/a"], BBox(0, 0, 2, 2), False)
+        with pytest.raises(ValueError):
+            write_records([record, broken], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
 class TestDecisionBoundaries:
     def _record(self, ious, preds=(0, 1, 2, 3), true_class=0):
         boxes = [BBox(0, 0, 1, 1)] * len(ious)
@@ -186,7 +249,8 @@ class TestEvaluate:
 
 def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
     """Records the way evaluation ran before batching: one autograd forward
-    pass per sample, then one fused map, upsampling and box per class."""
+    pass per sample, then one fused map, upsampling and box per class, with
+    the per-map box extraction and 4-term upsampling of ``oracles``."""
     records = []
     with no_grad():
         for index, sample in enumerate(samples):
@@ -196,8 +260,8 @@ def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
 
             def box(c):
                 fused = localization_map(art.score_maps_a.data, art.score_maps_b.data, c, config, single_branch)
-                full = bilinear_upsample(Tensor(fused), *sample.image.shape[1:]).data
-                return extract_bbox(normalize_minmax(full).values, tau)
+                full = oracles.upsample_bilinear_4term_ref(fused, *sample.image.shape[1:])
+                return oracles.extract_bbox_ref(normalize_minmax(full).values, tau)
 
             boxes = [box(c) for c in preds]
             ious = [iou(b, sample.gt_box) for b in boxes]
@@ -208,7 +272,8 @@ def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
 
 class TestEvaluateMatchesPerSample:
     """Seven classes, so top-5 leaves classes out and the ground-truth class
-    is sometimes an extra box; ten samples span three inference chunks."""
+    is sometimes a sixth candidate map; ten samples span two inference
+    chunks, the second of them short."""
 
     @pytest.mark.parametrize(
         "mode, strategy, single",
@@ -225,4 +290,5 @@ class TestEvaluateMatchesPerSample:
         config = FusionConfig(strategy)
         report, records = evaluate(params, samples, config, tau=0.3, cam_mode=mode, single_branch=single)
         assert records == evaluate_per_sample(params, samples, config, 0.3, mode, single)
+        assert any(r.true_class not in r.predicted for r in records)  # a ragged chunk: 6 maps for one sample
         assert report.n_samples == 10

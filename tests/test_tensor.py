@@ -19,6 +19,7 @@ from camloc import (
     softmax_cross_entropy,
     tensor_sum,
 )
+from camloc.tensor import upsample_bilinear
 
 import oracles
 
@@ -258,6 +259,17 @@ class TestBilinearUpsample:
     def test_shrink_error(self):
         with pytest.raises(ValueError, match="shrink"):
             bilinear_upsample(t(np.zeros((4, 4))), 3, 8)
+
+    @pytest.mark.parametrize(
+        "shape, out_hw",
+        [((6, 8, 8), (64, 64)), ((2, 3, 4, 6), (9, 13)), ((5, 1, 7), (4, 19)), ((5, 7, 1), (11, 3)),
+         ((3, 1, 1), (6, 5)), ((1, 8), (1, 30)), ((8, 1), (30, 1)), ((4, 8), (12, 8))],
+    )
+    def test_kernel_equals_four_term_formula_bit_for_bit(self, shape, out_hw):
+        maps = np.random.default_rng(sum(shape)).normal(size=shape).astype(np.float32)
+        out = upsample_bilinear(maps, *out_hw)
+        assert out.shape == shape[:-2] + out_hw
+        np.testing.assert_array_equal(out, oracles.upsample_bilinear_4term_ref(maps, *out_hw))
 
 
 class TestBackward:
