@@ -240,9 +240,20 @@ def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
     annotations = directory / "annotations.csv"
     if not annotations.exists():
         raise DataError(f"missing dataset split '{split}': {annotations} not found (run gen-data first)")
+    size = cfg.dataset.image_size
+    try:
+        rows = read_annotations(annotations, cfg.dataset.num_classes, size)
+    except ValueError as exc:
+        raise DataError(str(exc)) from exc
     samples = []
-    for filename, label, box in read_annotations(annotations):
-        samples.append(Sample(read_ppm(directory / filename), label, box))
+    for filename, label, box in rows:
+        image = read_ppm(directory / filename)
+        if image.shape[1:] != size:
+            raise DataError(
+                f"{directory / filename}: image is {image.shape[2]}x{image.shape[1]}, "
+                f"but [dataset] image_size is {size[1]}x{size[0]}"
+            )
+        samples.append(Sample(image, label, box))
     return samples
 
 

@@ -147,9 +147,11 @@ def write_annotations(rows, path) -> None:
             handle.write(f"{filename},{label},{box.x_min},{box.y_min},{box.x_max},{box.y_max}\n")
 
 
-def read_annotations(path) -> list[tuple[str, int, BBox]]:
+def read_annotations(path, num_classes: int | None = None, image_size=None) -> list[tuple[str, int, BBox]]:
     """Parse annotation CSV; an optional header line is detected by a
-    non-numeric second field."""
+    non-numeric second field. Given ``num_classes``, a class id outside
+    [0, num_classes) is an error; given ``image_size`` (H, W), so is a box
+    that reaches past the image. Errors name the file and line."""
     rows: list[tuple[str, int, BBox]] = []
     with open(path, "r", encoding="ascii") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -172,5 +174,12 @@ def read_annotations(path) -> list[tuple[str, int, BBox]]:
                 box = BBox(x_min, y_min, x_max, y_max)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+            if num_classes is not None and label >= num_classes:
+                raise ValueError(f"{path}: line {line_no}: class {label} outside [0, {num_classes})")
+            if image_size is not None and (y_max > image_size[0] or x_max > image_size[1]):
+                raise ValueError(
+                    f"{path}: line {line_no}: box ({x_min},{y_min})..({x_max},{y_max}) outside the "
+                    f"{image_size[1]}x{image_size[0]} image"
+                )
             rows.append((parts[0], label, box))
     return rows

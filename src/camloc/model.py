@@ -190,7 +190,8 @@ def _conv_block(params: ModelParams, name: str, x: Tensor) -> Tensor:
 
 
 def backbone_forward(params: ModelParams, image: Tensor) -> Tensor:
-    """The conv/pool trunk over a (3,H,W) image or an (N,3,H,W) batch.
+    """The conv/pool trunk over a (3,H,W) image or a channel-major (3,N,H,W)
+    batch.
 
     Relu runs after each pool, on a quarter of the elements. Max commutes
     with the monotone relu, and under the first-max tie rule the gradients
@@ -212,11 +213,11 @@ def head_forward(params: ModelParams, branch: str, features: Tensor) -> tuple[Te
 
 
 def _guidance_masks(score_maps_a: np.ndarray, guides, mode: str, erase_threshold: float) -> np.ndarray:
-    """(N,h,w) guidance from (N,C,h,w) branch-A maps: each sample's guide
+    """(N,h,w) guidance from (C,N,h,w) branch-A maps: each sample's guide
     class map, normalized, then complemented (ccam) or thresholded."""
     if not np.isfinite(score_maps_a).all():
         raise NumericError("non-finite branch_a score maps")
-    cam = normalize_minmax(score_maps_a[np.arange(len(score_maps_a)), guides])
+    cam = normalize_minmax(score_maps_a[guides, np.arange(score_maps_a.shape[1])])
     return (complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)).values
 
 
@@ -233,9 +234,12 @@ def forward(
     ``guide_class`` selects which class map drives the guidance: an int for
     one image, N ints for a stack; None uses branch A's top-1 prediction
     (the label-free inference protocol). ``guidance_override`` substitutes a
-    fixed mask, for diagnostics and ablations. For a stack every artifact
-    keeps the leading batch axis: ``guidance`` is (N,h,w) and
-    ``guide_class`` an (N,) array.
+    fixed mask, for diagnostics and ablations.
+
+    A stack runs channel-major: it is transposed to (3,N,H,W) once on entry.
+    Every artifact comes back with the leading batch axis: features and
+    score maps are (N,K,h,w) copies outside the graph, logits are (N,C),
+    ``guidance`` is (N,h,w) and ``guide_class`` an (N,) array.
     """
     if mode not in GUIDANCE_MODES:
         raise ValueError(f"unknown guidance mode '{mode}'; valid: {', '.join(GUIDANCE_MODES)}")
@@ -243,17 +247,20 @@ def forward(
     if x.ndim not in (3, 4):
         raise ValueError(f"image must be (3,H,W) or (N,3,H,W), got shape {x.shape}")
     stacked = x.ndim == 4
+    if stacked:
+        x = Tensor(x.data.transpose(1, 0, 2, 3))
 
     features = backbone_forward(params, x)
     score_maps_a, logits_a = head_forward(params, "branch_a", features)
-    scores_a = score_maps_a.data if stacked else score_maps_a.data[None]
+    scores_a = score_maps_a.data if stacked else score_maps_a.data[:, None]
+    n = scores_a.shape[1]
 
     if guide_class is None:
-        guides = np.argmax(logits_a.data.reshape(len(scores_a), -1), axis=1)
+        guides = np.argmax(logits_a.data.reshape(n, -1), axis=1)
     else:
         guides = np.asarray(guide_class).reshape(-1)
-        if len(guides) != len(scores_a):
-            raise ValueError(f"{len(guides)} guide classes for {len(scores_a)} images")
+        if len(guides) != n:
+            raise ValueError(f"{len(guides)} guide classes for {n} images")
         if guides.min() < 0 or guides.max() >= params.num_classes:
             raise IndexError(f"guide class {guide_class} out of range for {params.num_classes} classes")
 
@@ -270,10 +277,13 @@ def forward(
     guided = broadcast_mul_channels(features.detach(), Tensor(guidance.values))
     score_maps_b, logits_b = head_forward(params, "branch_b", guided)
 
+    def batch_major(t: Tensor) -> Tensor:
+        return Tensor(t.data.transpose(1, 0, 2, 3)) if stacked else t
+
     return ForwardArtifacts(
-        features=features,
-        score_maps_a=score_maps_a,
-        score_maps_b=score_maps_b,
+        features=batch_major(features),
+        score_maps_a=batch_major(score_maps_a),
+        score_maps_b=batch_major(score_maps_b),
         logits_a=logits_a,
         logits_b=logits_b,
         guidance=guidance,

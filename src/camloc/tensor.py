@@ -4,6 +4,11 @@ Float32 throughout, numpy-backed, covering exactly the operators the
 two-branch localization model needs. Ops allocate fresh outputs and never
 write to their inputs; gradients accumulate into ``.grad`` across backward
 calls until an optimizer step clears them.
+
+Batches are channel-major: a batch of N feature maps is one (C,N,H,W)
+array, the layout the im2col GEMM of :func:`conv2d` reads and writes, so
+no op transposes between layers. A (C,H,W) input is the N=1 case. Pooling
+to logits turns (C,N,H,W) into (N,C).
 """
 
 from __future__ import annotations
@@ -193,7 +198,8 @@ def relu(x: Tensor) -> Tensor:
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
-    """2-d cross-correlation of a (N,Cin,H,W) input with a (Cout,Cin,kh,kw) kernel.
+    """2-d cross-correlation of a (Cin,N,H,W) input with a (Cout,Cin,kh,kw)
+    kernel, giving (Cout,N,oh,ow).
 
     A (Cin,H,W) input is the N=1 case and gives a (Cout,oh,ow) output. Zero
     padding; output spatial size (H + 2*pad - kh)//stride + 1. The backward
@@ -202,10 +208,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     """
     if x.ndim not in (3, 4) or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
-            f"conv2d expects input (N,Cin,H,W) or (Cin,H,W), kernel (Cout,Cin,kh,kw), bias (Cout); "
+            f"conv2d expects input (Cin,N,H,W) or (Cin,H,W), kernel (Cout,Cin,kh,kw), bias (Cout); "
             f"got {x.shape}, {kernel.shape}, {bias.shape}"
         )
-    cin, h, w = x.shape[-3:]
+    cin, (h, w) = x.shape[0], x.shape[-2:]
     cout, kcin, kh, kw = kernel.shape
     if kcin != cin:
         raise ValueError(
@@ -219,24 +225,28 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     if kh > h + 2 * pad or kw > w + 2 * pad:
         raise ValueError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
 
-    batch = x.data.reshape(-1, cin, h, w)
+    batch = x.data.reshape(cin, -1, h, w)
     out_data = conv2d_batch(batch, kernel.data, bias.data, pad, stride)
-    n, _, out_h, out_w = out_data.shape
-    out = Tensor(out_data.reshape(*x.shape[:-3], cout, out_h, out_w))
+    _, n, out_h, out_w = out_data.shape
+    out = Tensor(out_data.reshape(cout, *x.shape[1:-2], out_h, out_w))
     input_grad = x.grad_enabled
 
     def bwd(g):
-        gmat = g.reshape(n, cout, out_h * out_w).transpose(1, 0, 2).reshape(cout, n * out_h * out_w)
-        g_kernel = (gmat @ _im2col(batch, kh, kw, pad, stride).T).reshape(kernel.shape)
+        gmat = g.reshape(cout, -1)
+        g_kernel = (_im2col(batch, kh, kw, pad, stride) @ gmat.T).T.reshape(kernel.shape)
         g_bias = gmat.sum(axis=1)
         if not input_grad:
             return (None, g_kernel, g_bias)
         g_cols = (kernel.data.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
-        g_xp = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        # col2im straight into the unpadded gradient: each tap adds only the
+        # output positions that land inside the input, in the same order as
+        # through a zero-padded buffer
+        g_x = np.zeros((cin, n, h, w), dtype=np.float32)
         for i in range(kh):
+            rows, tap_rows = _tap(i - pad, stride, out_h, h)
             for j in range(kw):
-                g_xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += g_cols[:, i, j]
-        g_x = g_xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
+                cols, tap_cols = _tap(j - pad, stride, out_w, w)
+                g_x[:, :, rows, cols] += g_cols[:, i, j, :, tap_rows, tap_cols]
         return (g_x.reshape(x.shape), g_kernel, g_bias)
 
     return _record(out, (x, kernel, bias), bwd)
@@ -244,10 +254,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
 
 def maxpool2d(x: Tensor) -> Tensor:
     """2x2 max pooling with stride 2 over the last two axes of a (C,H,W) or
-    (N,C,H,W) input; gradient routes to the first max in row-major window
+    (C,N,H,W) input; gradient routes to the first max in row-major window
     order on ties."""
     if x.ndim not in (3, 4):
-        raise ValueError(f"maxpool2d expects (C,H,W) or (N,C,H,W), got {x.shape}")
+        raise ValueError(f"maxpool2d expects (C,H,W) or (C,N,H,W), got {x.shape}")
     h, w = x.shape[-2:]
     if h % 2 or w % 2:
         raise ValueError(f"maxpool2d requires even spatial dims, got {h}x{w}")
@@ -271,34 +281,34 @@ def maxpool2d(x: Tensor) -> Tensor:
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
-    """Per-channel spatial mean: (C,H,W) -> (C,), or (N,C,H,W) -> (N,C)."""
+    """Per-channel spatial mean: (C,H,W) -> (C,), or (C,N,H,W) -> (N,C) logits."""
     if x.ndim not in (3, 4):
-        raise ValueError(f"global_avg_pool expects (C,H,W) or (N,C,H,W), got {x.shape}")
+        raise ValueError(f"global_avg_pool expects (C,H,W) or (C,N,H,W), got {x.shape}")
     h, w = x.shape[-2:]
-    out = Tensor(x.data.mean(axis=(-2, -1)))
+    out = Tensor(x.data.mean(axis=(-2, -1)).T)
 
     def bwd(g):
         scale = np.float32(1.0 / (h * w))
-        return (np.broadcast_to((g * scale)[..., None, None], x.shape),)
+        return (np.broadcast_to((g.T * scale)[..., None, None], x.shape),)
 
     return _record(out, (x,), bwd)
 
 
 def broadcast_mul_channels(features: Tensor, mask: Tensor) -> Tensor:
     """Scale every channel of (K,H,W) features by a (H,W) map, or of
-    (N,K,H,W) features by each sample's map in (N,H,W).
+    (K,N,H,W) features by each sample's map in (N,H,W).
 
     The map is treated as a constant during backprop: complement and
     threshold guidance masks are not differentiated through.
     """
     if features.ndim not in (3, 4) or mask.ndim != features.ndim - 1:
         raise ValueError(
-            f"expected (K,H,W) features with a (H,W) map or (N,K,H,W) with (N,H,W), "
+            f"expected (K,H,W) features with a (H,W) map or (K,N,H,W) with (N,H,W), "
             f"got {features.shape}, {mask.shape}"
         )
-    if mask.shape != features.shape[:-3] + features.shape[-2:]:
+    if mask.shape != features.shape[1:]:
         raise ValueError(f"spatial shape mismatch: features {features.shape} vs map {mask.shape}")
-    mask_data = mask.data[..., None, :, :]
+    mask_data = mask.data[None]
     out = Tensor(features.data * mask_data)
 
     def bwd(g):
@@ -396,32 +406,44 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int) -> np.ndarray:
-    """The (Cin*kh*kw, N*oh*ow) column matrix of zero-padded (N,Cin,H,W) inputs."""
-    n, cin, h, w = x.shape
+    """The (Cin*kh*kw, N*oh*ow) column matrix of zero-padded (Cin,N,H,W) inputs;
+    for a 1x1 kernel at stride 1 it is the input itself, reshaped."""
+    cin, n, h, w = x.shape
+    if kh == kw == stride == 1 and pad == 0:
+        return x.reshape(cin, n * h * w)
     if pad:
-        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         xp[:, :, pad : pad + h, pad : pad + w] = x
         x = xp
     windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
     _, _, out_h, out_w = windows.shape[:4]
-    return windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
+
+
+def _tap(offset: int, stride: int, n_out: int, n_in: int) -> tuple[slice, slice]:
+    """Where one kernel tap lands along an axis: the input slice and the
+    output slice of the positions o with 0 <= o*stride + offset < n_in."""
+    lo = max(0, -(offset // stride))
+    hi = min(n_out, (n_in - 1 - offset) // stride + 1)
+    if hi <= lo:
+        return slice(0, 0), slice(0, 0)
+    return slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride), slice(lo, hi)
 
 
 def conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, stride: int = 1) -> np.ndarray:
-    """Zero-padded cross-correlation of (N,Cin,H,W) inputs with a
-    (Cout,Cin,kh,kw) kernel: one im2col GEMM for the batch, returned as a
-    contiguous (N,Cout,oh,ow) array."""
-    n, _, h, w = x.shape
+    """Zero-padded cross-correlation of (Cin,N,H,W) inputs with a
+    (Cout,Cin,kh,kw) kernel: one im2col GEMM for the batch, whose output is
+    already the contiguous (Cout,N,oh,ow) result."""
+    _, n, h, w = x.shape
     cout, _, kh, kw = kernel.shape
     out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    gemm = (kernel.reshape(cout, -1) @ _im2col(x, kh, kw, pad, stride)).reshape(cout, n, out_h, out_w)
-    out = np.empty((n, cout, out_h, out_w), dtype=gemm.dtype)
-    return np.add(gemm.transpose(1, 0, 2, 3), bias[:, None, None], out=out)
+    out = (kernel.reshape(cout, -1) @ _im2col(x, kh, kw, pad, stride)).reshape(cout, n, out_h, out_w)
+    out += bias[:, None, None, None]
+    return out
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
-    """2x2 max pooling with stride 2 over the last two (even) axes."""
-    return np.maximum(
-        np.maximum(x[..., ::2, ::2], x[..., ::2, 1::2]),
-        np.maximum(x[..., 1::2, ::2], x[..., 1::2, 1::2]),
-    )
+    """2x2 max pooling with stride 2 over the last two (even) axes: the max
+    of each row pair first, which reads whole rows, then of column pairs."""
+    rows = np.maximum(x[..., ::2, :], x[..., 1::2, :])
+    return np.maximum(rows[..., ::2], rows[..., 1::2])

@@ -28,6 +28,49 @@ def conv2d_ref(x, kernel, bias, stride=1, pad=0):
     return out
 
 
+def conv2d_nchw(x, kernel, bias, stride=1, pad=0):
+    """The float32 im2col conv as it ran on batch-major (N,Cin,H,W) inputs,
+    before batches went channel-major: forward output (N,Cout,oh,ow) and a
+    function from the output gradient to (g_x, g_kernel, g_bias)."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    n, cin, h, w = x.shape
+    cout, _, kh, kw = kernel.shape
+    out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+
+    def im2col():
+        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        xp[:, :, pad : pad + h, pad : pad + w] = x
+        windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+        return windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
+
+    gemm = (kernel.reshape(cout, -1) @ im2col()).reshape(cout, n, out_h, out_w)
+    out = np.empty((n, cout, out_h, out_w), dtype=np.float32)
+    np.add(gemm.transpose(1, 0, 2, 3), bias[:, None, None], out=out)
+
+    def backward(g):
+        gmat = g.reshape(n, cout, out_h * out_w).transpose(1, 0, 2).reshape(cout, n * out_h * out_w)
+        g_kernel = (gmat @ im2col().T).reshape(kernel.shape)
+        g_bias = gmat.sum(axis=1)
+        g_cols = (kernel.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
+        g_xp = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+        for i in range(kh):
+            for j in range(kw):
+                g_xp[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += g_cols[:, i, j]
+        return g_xp[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3), g_kernel, g_bias
+
+    return out, backward
+
+
+def maxpool2x2_four_slices(x):
+    """2x2 max pooling as the max of the four stride-2 slices, pairing the
+    two top positions and the two bottom ones first."""
+    return np.maximum(
+        np.maximum(x[..., ::2, ::2], x[..., ::2, 1::2]),
+        np.maximum(x[..., 1::2, ::2], x[..., 1::2, 1::2]),
+    )
+
+
 def relu_ref(x):
     return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
 

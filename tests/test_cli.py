@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from camloc import load_checkpoint, read_pgm, read_ppm, save_checkpoint
+from camloc import load_checkpoint, read_pgm, read_ppm, save_checkpoint, write_ppm
 from camloc.cli import RunConfig, main, parse_config_file, write_manifest
 from camloc.model import NumericError
 
@@ -137,6 +137,42 @@ class TestTrainCommand:
 
         monkeypatch.setattr(cli_mod, "train", explode)
         assert run("train", "--config", small_cfg_file, "--out", str(out)) == 3
+
+
+class TestAnnotationValidation:
+    """A split whose annotations or images do not fit the configured dataset
+    is a data error (exit 2) that names the file, not an IndexError."""
+
+    def corrupt_line(self, out, split, line_no, edit):
+        path = out / "dataset" / split / "annotations.csv"
+        lines = path.read_text().splitlines()
+        fields = lines[line_no - 1].split(",")
+        edit(fields)
+        lines[line_no - 1] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_class_id_out_of_range(self, capsys, tmp_path, small_cfg_file):
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", small_cfg_file, "--out", str(out)) == 0
+        self.corrupt_line(out, "train", 3, lambda f: f.__setitem__(1, "9"))
+        assert run("train", "--config", small_cfg_file, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "annotations.csv: line 3: class 9 outside [0, 4)" in err
+        assert not (out / "checkpoint.bin").exists()
+
+    def test_box_outside_image(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        self.corrupt_line(out, "test", 2, lambda f: f.__setitem__(4, "65"))
+        assert run("eval", "--config", cfg_path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "annotations.csv: line 2: box" in err and "outside the 64x64 image" in err
+
+    def test_image_size_differs_from_config(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        write_ppm(np.zeros((3, 32, 48), dtype=np.float32), out / "dataset" / "test" / "test_00001.ppm")
+        assert run("visualize", "--config", cfg_path, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "test_00001.ppm: image is 48x32, but [dataset] image_size is 64x64" in err
 
 
 @pytest.fixture

@@ -128,9 +128,10 @@ def test_softmax_cross_entropy_gradients(seed):
 
 
 # ---------------------------------------------------------------------------
-# the same ops on a leading batch axis (N=3). The loss weights every output
-# element differently, so a gradient sent to the wrong sample or channel
-# shows; the references run the per-sample oracles sample by sample.
+# the same ops on channel-major (C,N,H,W) batches (N=3). The loss weights
+# every output element differently, so a gradient sent to the wrong sample
+# or channel shows; the references run the per-sample oracles sample by
+# sample.
 
 N = 3
 
@@ -143,14 +144,16 @@ def weighted_sum(out, rng):
 @pytest.mark.parametrize("stride", [1, 2])
 def test_batched_conv2d_gradients(stride):
     rng = np.random.default_rng(80 + stride)
-    x = Tensor(kink_free(rng, (N, 2, 6, 5)), grad_enabled=True)
+    x = Tensor(kink_free(rng, (2, N, 6, 5)), grad_enabled=True)
     k = Tensor(kink_free(rng, (3, 2, 3, 3)), grad_enabled=True)
     b = Tensor(kink_free(rng, (3,)), grad_enabled=True)
     loss, weights = weighted_sum(conv2d(x, k, b, stride=stride, pad=1), rng)
     backward(loss)
 
     def ref_loss(x, k, b):
-        return float(sum((oracles.conv2d_ref(x[i], k, b, stride=stride, pad=1) * weights[i]).sum() for i in range(N)))
+        return float(
+            sum((oracles.conv2d_ref(x[:, i], k, b, stride=stride, pad=1) * weights[:, i]).sum() for i in range(N))
+        )
 
     arrays = {"x": x.data, "k": k.data, "b": b.data}
     check(x.grad, ref_loss, arrays, "x")
@@ -160,37 +163,39 @@ def test_batched_conv2d_gradients(stride):
 
 def test_batched_maxpool2d_gradients():
     rng = np.random.default_rng(90)
-    x = Tensor(np.stack([separated_windows(rng, (2, 4, 6)) for _ in range(N)]), grad_enabled=True)
+    x = Tensor(np.stack([separated_windows(rng, (2, 4, 6)) for _ in range(N)], axis=1), grad_enabled=True)
     loss, weights = weighted_sum(maxpool2d(x), rng)
     backward(loss)
 
     def ref_loss(x):
-        return float(sum((oracles.maxpool2d_ref(x[i]) * weights[i]).sum() for i in range(N)))
+        return float(sum((oracles.maxpool2d_ref(x[:, i]) * weights[:, i]).sum() for i in range(N)))
 
     check(x.grad, ref_loss, {"x": x.data}, "x")
 
 
 def test_batched_global_avg_pool_gradients():
     rng = np.random.default_rng(91)
-    x = Tensor(kink_free(rng, (N, 4, 5, 7)), grad_enabled=True)
-    loss, weights = weighted_sum(global_avg_pool(x), rng)
+    x = Tensor(kink_free(rng, (4, N, 5, 7)), grad_enabled=True)
+    loss, weights = weighted_sum(global_avg_pool(x), rng)  # (N,C) logits
     backward(loss)
 
     def ref_loss(x):
-        return float(sum((oracles.global_avg_pool_ref(x[i]) * weights[i]).sum() for i in range(N)))
+        return float(sum((oracles.global_avg_pool_ref(x[:, i]) * weights[i]).sum() for i in range(N)))
 
     check(x.grad, ref_loss, {"x": x.data}, "x")
 
 
 def test_batched_broadcast_mul_gradients():
     rng = np.random.default_rng(92)
-    f = Tensor(kink_free(rng, (N, 3, 4, 5)), grad_enabled=True)
+    f = Tensor(kink_free(rng, (3, N, 4, 5)), grad_enabled=True)
     m = Tensor(rng.uniform(0.0, 1.0, size=(N, 4, 5)).astype(np.float32), grad_enabled=True)
     loss, weights = weighted_sum(broadcast_mul_channels(f, m), rng)
     backward(loss)
 
     def ref_loss(f):
-        return float(sum((oracles.broadcast_mul_ref(f[i], m.data[i]) * weights[i]).sum() for i in range(N)))
+        return float(
+            sum((oracles.broadcast_mul_ref(f[:, i], m.data[i]) * weights[:, i]).sum() for i in range(N))
+        )
 
     check(f.grad, ref_loss, {"f": f.data}, "f")
     assert m.grad is None

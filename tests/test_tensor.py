@@ -19,7 +19,7 @@ from camloc import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from camloc.tensor import upsample_bilinear
+from camloc.tensor import maxpool2x2, upsample_bilinear
 
 import oracles
 
@@ -80,15 +80,39 @@ class TestConv2d:
     @pytest.mark.parametrize("stride", [1, 2])
     def test_batch_matches_reference_per_sample(self, stride):
         rng = np.random.default_rng(12)
-        x = rng.normal(size=(3, 2, 6, 7)).astype(np.float32)
+        x = rng.normal(size=(2, 3, 6, 7)).astype(np.float32)  # (Cin,N,H,W)
         k = rng.normal(size=(4, 2, 3, 3)).astype(np.float32)
         b = rng.normal(size=4).astype(np.float32)
         out = conv2d(t(x), t(k), t(b), stride=stride, pad=1)
-        ref = np.stack([oracles.conv2d_ref(sample, k, b, stride=stride, pad=1) for sample in x])
+        ref = np.stack([oracles.conv2d_ref(x[:, i], k, b, stride=stride, pad=1) for i in range(3)], axis=1)
         np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
 
+    @pytest.mark.parametrize("n", [1, 3, 4, 8])
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_channel_major_equals_batch_major_bit_for_bit(self, n, k, stride, pad):
+        # the (Cin,N,H,W) conv against the (N,Cin,H,W) im2col conv it replaced:
+        # forward and all three gradients, with a different weight on every
+        # output element
+        rng = np.random.default_rng(100 * n + 10 * k + 2 * stride + pad)
+        x = rng.normal(size=(n, 5, 9, 8)).astype(np.float32)
+        kernel = rng.normal(size=(6, 5, k, k)).astype(np.float32)
+        bias = rng.normal(size=6).astype(np.float32)
+        ref_out, ref_backward = oracles.conv2d_nchw(x, kernel, bias, stride, pad)
+        g = rng.normal(size=ref_out.shape).astype(np.float32)
+        ref_gx, ref_gk, ref_gb = ref_backward(g)
+
+        xt, kt, bt = t(x.transpose(1, 0, 2, 3), grad=True), t(kernel, grad=True), t(bias, grad=True)
+        out = conv2d(xt, kt, bt, stride=stride, pad=pad)
+        backward(tensor_sum(mul(out, t(g.transpose(1, 0, 2, 3)))))
+        np.testing.assert_array_equal(out.data.transpose(1, 0, 2, 3), ref_out)
+        np.testing.assert_array_equal(xt.grad.transpose(1, 0, 2, 3), ref_gx)
+        np.testing.assert_array_equal(kt.grad, ref_gk)
+        np.testing.assert_array_equal(bt.grad, ref_gb)
+
     def test_no_input_gradient_without_grad(self):
-        x = t(np.ones((2, 1, 4, 4)))
+        x = t(np.ones((1, 2, 4, 4)))
         k = t(np.ones((1, 1, 3, 3)), grad=True)
         backward(tensor_sum(conv2d(x, k, t([0.0]), pad=1)))
         assert x.grad is None
@@ -140,15 +164,26 @@ class TestMaxpool2d:
         np.testing.assert_array_equal(x.grad[0], [[1.0, 0.0], [0.0, 0.0]])
 
     def test_tie_gradient_goes_to_first_row_major_batched(self):
+        # (C,N,H,W) with one channel and two samples
         # sample 0: all four tie; the three lower-right entries tie
         # sample 1: the bottom row ties; all four tie at zero
-        x = t([[[[1, 1, 0, 2], [1, 1, 2, 2]]], [[[1, 0, 0, 0], [3, 3, 0, 0]]]], grad=True)
+        x = t([[[[1, 1, 0, 2], [1, 1, 2, 2]], [[1, 0, 0, 0], [3, 3, 0, 0]]]], grad=True)
         out = maxpool2d(x)
-        np.testing.assert_array_equal(out.data, [[[[1, 2]]], [[[3, 0]]]])
+        np.testing.assert_array_equal(out.data, [[[[1, 2]], [[3, 0]]]])
         backward(tensor_sum(out))
         np.testing.assert_array_equal(
-            x.grad, [[[[1, 0, 0, 1], [0, 0, 0, 0]]], [[[0, 0, 1, 0], [1, 0, 0, 0]]]]
+            x.grad, [[[[1, 0, 0, 1], [0, 0, 0, 0]], [[0, 0, 1, 0], [1, 0, 0, 0]]]]
         )
+
+    @pytest.mark.parametrize("shape", [(3, 2, 8, 6), (4, 6, 10), (2, 1, 4, 12)])
+    def test_row_pair_kernel_equals_four_slice_max(self, shape):
+        # small integers give ties in most windows; NaN must propagate
+        rng = np.random.default_rng(sum(shape))
+        x = rng.integers(0, 3, size=shape).astype(np.float32)
+        x.reshape(-1)[rng.choice(x.size, size=x.size // 10, replace=False)] = np.nan
+        got, want = maxpool2x2(x), oracles.maxpool2x2_four_slices(x)
+        assert np.isnan(want).any() and not np.isnan(want).all()
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
 
     def test_odd_dims_error(self):
         with pytest.raises(ValueError, match="even"):
