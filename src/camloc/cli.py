@@ -235,26 +235,33 @@ def _save_split(samples: list[Sample], directory: Path, split: str) -> None:
     write_annotations(rows, directory / "annotations.csv")
 
 
-def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
+def _split_rows(cfg: RunConfig, split: str) -> tuple[Path, list]:
+    """The split's directory and its validated annotation rows."""
     directory = _split_dir(cfg, split)
     annotations = directory / "annotations.csv"
     if not annotations.exists():
         raise DataError(f"missing dataset split '{split}': {annotations} not found (run gen-data first)")
-    size = cfg.dataset.image_size
     try:
-        rows = read_annotations(annotations, cfg.dataset.num_classes, size)
+        return directory, read_annotations(annotations, cfg.dataset.num_classes, cfg.dataset.image_size)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    samples = []
-    for filename, label, box in rows:
-        image = read_ppm(directory / filename)
-        if image.shape[1:] != size:
-            raise DataError(
-                f"{directory / filename}: image is {image.shape[2]}x{image.shape[1]}, "
-                f"but [dataset] image_size is {size[1]}x{size[0]}"
-            )
-        samples.append(Sample(image, label, box))
-    return samples
+
+
+def _read_sample(cfg: RunConfig, directory: Path, row) -> Sample:
+    filename, label, box = row
+    image = read_ppm(directory / filename)
+    size = cfg.dataset.image_size
+    if image.shape[1:] != size:
+        raise DataError(
+            f"{directory / filename}: image is {image.shape[2]}x{image.shape[1]}, "
+            f"but [dataset] image_size is {size[1]}x{size[0]}"
+        )
+    return Sample(image, label, box)
+
+
+def _load_split(cfg: RunConfig, split: str) -> list[Sample]:
+    directory, rows = _split_rows(cfg, split)
+    return [_read_sample(cfg, directory, row) for row in rows]
 
 
 def _checkpoint_path(cfg: RunConfig) -> Path:
@@ -266,12 +273,13 @@ def _load_params(cfg: RunConfig):
     if not path.exists():
         raise DataError(f"missing checkpoint: {path} not found (run train first)")
     params = load_checkpoint(path)
-    if params.num_classes != cfg.dataset.num_classes:
-        raise DataError(
-            f"checkpoint {path} has {params.num_classes} classes but the dataset has {cfg.dataset.num_classes}"
-        )
     expected = param_shapes(cfg.model_config())
     found = {name: tensor.shape for name, tensor in params.tensors.items()}
+    score_shape = found.get("branch_a.score.weight", ())
+    if score_shape and score_shape[0] != cfg.dataset.num_classes:
+        raise DataError(
+            f"checkpoint {path} has {score_shape[0]} classes but the dataset has {cfg.dataset.num_classes}"
+        )
     for name in sorted(expected.keys() | found.keys()):
         if name not in found:
             raise DataError(f"checkpoint {path} lacks tensor {name} of the configured model")
@@ -357,10 +365,10 @@ def cmd_visualize(cfg: RunConfig) -> None:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     params = _load_params(cfg)
-    samples = _load_split(cfg, "test")
-    if cfg.sample_index >= len(samples):
-        raise DataError(f"sample {cfg.sample_index} out of range: test split has {len(samples)} samples")
-    sample = samples[cfg.sample_index]
+    directory, rows = _split_rows(cfg, "test")
+    if cfg.sample_index >= len(rows):
+        raise DataError(f"sample {cfg.sample_index} out of range: test split has {len(rows)} samples")
+    sample = _read_sample(cfg, directory, rows[cfg.sample_index])
     height, width = sample.image.shape[1:]
 
     score_a, score_b, logits_a, logits_b = predict_maps(

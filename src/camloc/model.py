@@ -10,6 +10,7 @@ branches' cross entropies.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -296,9 +297,10 @@ def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", er
 
     Returns branch A's and branch B's score maps (N,C,h,w) and logits (N,C)
     of :func:`forward` under ``no_grad``, guided by branch A's top-1 class
-    per sample. Non-finite maps raise :class:`NumericError`.
+    per sample. Non-finite maps raise :class:`NumericError`, so numpy's
+    floating-point warnings on the way there are silenced.
     """
-    with no_grad():
+    with no_grad(), np.errstate(all="ignore"):
         art = forward(params, np.asarray(images, dtype=np.float32), None, mode, erase_threshold)
     scores_a, scores_b = art.score_maps_a.data, art.score_maps_b.data
     logits_a, logits_b = art.logits_a.data, art.logits_b.data
@@ -395,35 +397,49 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A file that is not one is a :class:`CheckpointError` that names it:
+    truncated, a bad magic or version, a tensor name that is not UTF-8 or
+    comes twice, a rank numpy cannot hold, or trailing bytes.
+    """
     blob = Path(path).read_bytes()
     offset = 0
 
     def take(n: int) -> bytes:
         nonlocal offset
         if offset + n > len(blob):
-            raise CheckpointError("unexpected end of file")
+            raise CheckpointError(f"{path}: unexpected end of file")
         chunk = blob[offset : offset + n]
         offset += n
         return chunk
 
     magic = take(4)
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"bad magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
+        raise CheckpointError(f"{path}: bad magic: expected {CHECKPOINT_MAGIC!r}, found {magic!r}")
     (version,) = struct.unpack("<I", take(4))
     if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version}")
+        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
     (count,) = struct.unpack("<I", take(4))
 
     tensors: dict[str, Tensor] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        raw_name = take(name_len)
+        try:
+            name = raw_name.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: tensor name {raw_name!r} is not UTF-8") from None
+        if name in tensors:
+            raise CheckpointError(f"{path}: tensor {name} appears twice")
         (ndim,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{ndim}I", take(4 * ndim))
-        size = int(np.prod(dims)) if dims else 1
-        raw = take(4 * size)
-        data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        raw = take(4 * math.prod(dims))  # Python ints: a huge shape cannot wrap around
+        try:
+            data = np.frombuffer(raw, dtype="<f4").reshape(dims).astype(np.float32)
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: tensor {name} of shape {dims}: {exc}") from None
         tensors[name] = Tensor(data, grad_enabled=True)
     if offset != len(blob):
-        raise CheckpointError(f"unexpected trailing data ({len(blob) - offset} bytes)")
+        raise CheckpointError(f"{path}: unexpected trailing data ({len(blob) - offset} bytes)")
     return ModelParams(tensors)

@@ -9,6 +9,10 @@ Batches are channel-major: a batch of N feature maps is one (C,N,H,W)
 array, the layout the im2col GEMM of :func:`conv2d` reads and writes, so
 no op transposes between layers. A (C,H,W) input is the N=1 case. Pooling
 to logits turns (C,N,H,W) into (N,C).
+
+A recorded op's backward closure keeps what its gradient needs, such as a
+conv's im2col columns, for as long as the graph lives; under
+:func:`no_grad` no closure is recorded, so an inference pass keeps nothing.
 """
 
 from __future__ import annotations
@@ -202,9 +206,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     kernel, giving (Cout,N,oh,ow).
 
     A (Cin,H,W) input is the N=1 case and gives a (Cout,oh,ow) output. Zero
-    padding; output spatial size (H + 2*pad - kh)//stride + 1. The backward
-    pass recomputes the im2col columns from the input instead of keeping
-    them, and computes no input gradient for an input that takes none.
+    padding; output spatial size (H + 2*pad - kh)//stride + 1.
+
+    One im2col GEMM covers the batch. The im2col columns are built once:
+    the backward pass computes the kernel gradient from the forward's
+    columns, which the graph keeps until it is freed. Under :func:`no_grad`
+    no backward pass is recorded, so nothing keeps them. No input gradient
+    is computed for an input that takes none.
     """
     if x.ndim not in (3, 4) or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
@@ -226,18 +234,24 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         raise ValueError(f"kernel {kh}x{kw} larger than padded input {h + 2 * pad}x{w + 2 * pad}")
 
     batch = x.data.reshape(cin, -1, h, w)
-    out_data = conv2d_batch(batch, kernel.data, bias.data, pad, stride)
-    _, n, out_h, out_w = out_data.shape
+    n = batch.shape[1]
+    out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    columns = _im2col(batch, kh, kw, pad, stride)
+    # the GEMM output is already the contiguous (Cout,N,oh,ow) result
+    out_data = (kernel.data.reshape(cout, -1) @ columns).reshape(cout, n, out_h, out_w)
+    out_data += bias.data[:, None, None, None]
     out = Tensor(out_data.reshape(cout, *x.shape[1:-2], out_h, out_w))
     input_grad = x.grad_enabled
 
     def bwd(g):
         gmat = g.reshape(cout, -1)
-        g_kernel = (_im2col(batch, kh, kw, pad, stride) @ gmat.T).T.reshape(kernel.shape)
+        g_kernel = (columns @ gmat.T).T.reshape(kernel.shape)
         g_bias = gmat.sum(axis=1)
         if not input_grad:
             return (None, g_kernel, g_bias)
         g_cols = (kernel.data.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
+        if stride == 1 and (out_h, out_w) == (h, w):
+            return (_col2im_same(g_cols, pad).reshape(x.shape), g_kernel, g_bias)
         # col2im straight into the unpadded gradient: each tap adds only the
         # output positions that land inside the input, in the same order as
         # through a zero-padded buffer
@@ -430,16 +444,33 @@ def _tap(offset: int, stride: int, n_out: int, n_in: int) -> tuple[slice, slice]
     return slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride), slice(lo, hi)
 
 
-def conv2d_batch(x: np.ndarray, kernel: np.ndarray, bias: np.ndarray, pad: int, stride: int = 1) -> np.ndarray:
-    """Zero-padded cross-correlation of (Cin,N,H,W) inputs with a
-    (Cout,Cin,kh,kw) kernel: one im2col GEMM for the batch, whose output is
-    already the contiguous (Cout,N,oh,ow) result."""
-    _, n, h, w = x.shape
-    cout, _, kh, kw = kernel.shape
-    out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    out = (kernel.reshape(cout, -1) @ _im2col(x, kh, kw, pad, stride)).reshape(cout, n, out_h, out_w)
-    out += bias[:, None, None, None]
-    return out
+def _col2im_same(g_cols: np.ndarray, pad: int) -> np.ndarray:
+    """col2im of a stride-1 conv whose output grid is its input grid: the
+    (Cin,kh,kw,N,H,W) column gradients summed into a (Cin,N,H,W) input
+    gradient with one shifted add per tap over each channel's N*H*W block,
+    whose inner loop runs the whole block instead of one row.
+
+    A tap's values whose input position falls outside their own row or
+    plane are set to -0.0 first. x + (-0.0) has the bits of x for every
+    float x, so each element sums the same terms in the same order as the
+    per-tap slices of the general path. Overwrites ``g_cols``.
+    """
+    cin, kh, kw, n, h, w = g_cols.shape
+    size = n * h * w
+    g_x = np.zeros((cin, size), dtype=np.float32)
+    for i in range(kh):
+        _, rows = _tap(i - pad, 1, h, h)
+        for j in range(kw):
+            _, cols = _tap(j - pad, 1, w, w)
+            if rows.start == rows.stop or cols.start == cols.stop:
+                continue  # the tap lands nowhere in the input
+            tap = g_cols[:, i, j]
+            tap[:, :, : rows.start] = tap[:, :, rows.stop :] = -0.0
+            tap[..., : cols.start] = tap[..., cols.stop :] = -0.0
+            shift = (i - pad) * w + j - pad
+            source = tap.reshape(cin, size)[:, max(-shift, 0) : size - max(shift, 0)]
+            g_x[:, max(shift, 0) : size + min(shift, 0)] += source
+    return g_x.reshape(cin, n, h, w)
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,17 @@
+import math
+import os
+import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from camloc import load_checkpoint, read_pgm, read_ppm, save_checkpoint, write_ppm
+from camloc import cli, load_checkpoint, read_pgm, read_ppm, save_checkpoint, write_ppm
 from camloc.cli import RunConfig, main, parse_config_file, write_manifest
 from camloc.model import NumericError
 
@@ -170,7 +180,7 @@ class TestAnnotationValidation:
     def test_image_size_differs_from_config(self, capsys, oracle_run):
         cfg_path, out = oracle_run
         write_ppm(np.zeros((3, 32, 48), dtype=np.float32), out / "dataset" / "test" / "test_00001.ppm")
-        assert run("visualize", "--config", cfg_path, "--out", str(out)) == 2
+        assert run("visualize", "--config", cfg_path, "--out", str(out), "--sample", "1") == 2
         err = capsys.readouterr().err
         assert "test_00001.ppm: image is 48x32, but [dataset] image_size is 64x64" in err
 
@@ -268,6 +278,80 @@ class TestEvalCommand:
         assert "non-finite" in capsys.readouterr().err
 
 
+def checkpoint_header_bytes(blob: bytes) -> set[int]:
+    """Offsets of every byte of a checkpoint that is not tensor data: the
+    file header, and each tensor's name length, name, rank and dims."""
+    header = set(range(12))
+    offset = 12
+    for _ in range(struct.unpack_from("<I", blob, 8)[0]):
+        (name_len,) = struct.unpack_from("<H", blob, offset)
+        ndim = blob[offset + 2 + name_len]
+        dims = struct.unpack_from(f"<{ndim}I", blob, offset + 3 + name_len)
+        end = offset + 3 + name_len + 4 * ndim
+        header.update(range(offset, end))
+        offset = end + 4 * math.prod(dims)
+    return header
+
+
+class TestCorruptCheckpoint:
+    """A truncated or bit-flipped checkpoint gives exit 2 or 3 and a one-line
+    error; an exception escaping ``main`` fails the test. A flip inside
+    tensor data may leave a valid checkpoint, so there exit 0 is allowed
+    too."""
+
+    @pytest.fixture
+    def eval_run(self, oracle_run):
+        cfg_path, out = oracle_run
+        (out / "intact.bin").write_bytes((out / "checkpoint.bin").read_bytes())
+        return oracle_run
+
+    def run_eval(self, capsys, cfg_path, out, blob):
+        (out / "checkpoint.bin").write_bytes(blob)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print lines of its own
+            code = run("eval", "--config", cfg_path, "--out", str(out))
+        assert not caught, [str(w.message) for w in caught]
+        err = capsys.readouterr().err
+        if code != 0:
+            assert err.count("\n") == 1 and err.startswith(("error: ", "numeric failure: ")), err
+        return code, err
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_truncated(self, capsys, eval_run, data):
+        cfg_path, out = eval_run
+        blob = (out / "intact.bin").read_bytes()
+        cut = data.draw(st.integers(0, len(blob) - 1))
+        code, _ = self.run_eval(capsys, cfg_path, out, blob[:cut])
+        assert code == 2
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_bit_flipped(self, capsys, eval_run, data):
+        cfg_path, out = eval_run
+        blob = (out / "intact.bin").read_bytes()
+        header = checkpoint_header_bytes(blob)
+        # half the draws flip a header byte, where most of the parsing happens
+        if data.draw(st.booleans()):
+            position = data.draw(st.sampled_from(sorted(header)))
+        else:
+            position = data.draw(st.integers(0, len(blob) - 1))
+        bit = data.draw(st.integers(0, 7))
+        flipped = bytearray(blob)
+        flipped[position] ^= 1 << bit
+        code, _ = self.run_eval(capsys, cfg_path, out, bytes(flipped))
+        assert code in ((2, 3) if position in header else (0, 2, 3))
+
+    def test_infinite_weight_is_a_one_line_numeric_failure(self, capsys, eval_run):
+        cfg_path, out = eval_run
+        params = oracles.objectness_params()
+        params["backbone.0.weight"].data[0, 0, 0, 0] = np.inf  # inf * 0 is invalid in the conv GEMM
+        save_checkpoint(params, out / "infinite.bin")
+        code, err = self.run_eval(capsys, cfg_path, out, (out / "infinite.bin").read_bytes())
+        assert code == 3 and "non-finite" in err
+
+
 class TestVisualizeCommand:
     def test_writes_five_files_with_valid_headers(self, capsys, oracle_run):
         cfg_path, out = oracle_run
@@ -290,6 +374,27 @@ class TestVisualizeCommand:
     def test_sample_out_of_range_is_data_error(self, capsys, oracle_run):
         cfg_path, out = oracle_run
         assert run("visualize", "--config", cfg_path, "--out", str(out), "--sample", "99") == 2
+
+    def test_reads_only_the_requested_sample(self, monkeypatch, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        reads = []
+        monkeypatch.setattr(cli, "read_ppm", lambda path: reads.append(path.name) or read_ppm(path))
+        assert run("visualize", "--config", cfg_path, "--out", str(out), "--sample", "3") == 0
+        assert reads == ["test_00003.ppm"]
+        reads.clear()
+        assert run("visualize", "--config", cfg_path, "--out", str(out), "--sample", "8") == 2
+        assert reads == []
+        assert "sample 8 out of range: test split has 8 samples" in capsys.readouterr().err
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test dependency only: the tests' reference labeller uses it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, camloc, camloc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestUsage:

@@ -112,9 +112,88 @@ class TestExtractBbox:
                 previous_area = box.area
 
 
+def spiral(size):
+    """A square spiral with one-pixel gaps, drawn inward from the top left:
+    one 4-connected component whose runs link through many union rounds."""
+    grid = np.zeros((size, size), dtype=np.float32)
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    y = x = direction = turns = 0
+    grid[0, 0] = 1.0
+
+    def filled(row, col):
+        return 0 <= row < size and 0 <= col < size and grid[row, col] > 0
+
+    while turns < 2:
+        dy, dx = steps[direction]
+        inside = 0 <= y + dy < size and 0 <= x + dx < size
+        if inside and not filled(y + dy, x + dx) and not filled(y + 2 * dy, x + 2 * dx):
+            y, x, turns = y + dy, x + dx, 0
+            grid[y, x] = 1.0
+        else:
+            direction, turns = (direction + 1) % 4, turns + 1
+    return grid
+
+
+def stress_maps(rng):
+    """64x64 binary maps for the labeller, in all four rotations:
+    serpentines and spirals (long chains of runs); combs and U shapes whose
+    arms join lower down; checkerboards and diagonal staircases (8- but not
+    4-connected, so every pixel is its own component and the size tie goes
+    to the first pixel in raster order); all-true maps."""
+    shapes = []
+    for period in (2, 3, 4):
+        serpentine = np.zeros((64, 64), dtype=np.float32)
+        serpentine[:, ::period] = 1.0
+        for k, col in enumerate(range(0, 64 - period, period)):
+            serpentine[-1 if k % 2 == 0 else 0, col : col + period] = 1.0
+        shapes.append(serpentine)
+    for size in (64, 37, 20):
+        grid = np.zeros((64, 64), dtype=np.float32)
+        y, x = rng.integers(0, 65 - size, size=2)
+        grid[y : y + size, x : x + size] = spiral(size)
+        shapes.append(grid)
+    for gap in (2, 3, 5):
+        comb = np.zeros((64, 64), dtype=np.float32)
+        top, spine = rng.integers(0, 20), rng.integers(40, 64)
+        comb[top:spine, ::gap] = 1.0
+        comb[spine, : 64 - (64 - 1) % gap] = 1.0
+        comb[rng.integers(0, 64), rng.integers(0, 64)] = 1.0  # a stray pixel
+        shapes.append(comb)
+    for nested in (1, 3, 6):
+        u = np.zeros((64, 64), dtype=np.float32)
+        left, right, bottom = rng.integers(0, 8), rng.integers(56, 64), rng.integers(50, 64)
+        for k in range(0, 2 * nested, 2):  # each U inside the last, a pixel apart
+            tops = rng.integers(0, 30, size=2)
+            u[tops[0] : bottom - k, left + k] = u[tops[1] : bottom - k, right - k] = 1.0
+            u[bottom - k, left + k : right - k + 1] = 1.0
+        shapes.append(u)
+    ys, xs = np.mgrid[:64, :64]
+    for phase in (0, 1):
+        shapes.append(((ys + xs) % 2 == phase).astype(np.float32))
+    for offset in (0, 5, -9):
+        shapes.append((ys == xs + offset).astype(np.float32))
+        shapes.append((ys + xs == 63 + offset).astype(np.float32))
+    shapes.append(np.ones((64, 64), dtype=np.float32))
+    return np.stack([np.rot90(shape, k) for shape in shapes for k in range(4)])
+
+
+# a mask whose components merge through winding paths: boxed alone, so that
+# no other map adds union rounds, it needs every pointer jumped to its root
+# in every round
+WINDING_MASK = """
+1010010111
+1110100111
+0101110001
+1110101110
+0110111011
+"""
+
+
 def box_test_maps(rng):
-    """510 64x64 maps: smooth upsampled, noisy, all-zero, constant, and two
-    equal-size blocks (the size tie goes to the first in raster order)."""
+    """Stacks to box, each as one stack. The first holds 594 64x64 maps:
+    smooth upsampled, noisy, all-zero, constant, two equal-size blocks (the
+    size tie goes to the first in raster order) and :func:`stress_maps`,
+    shuffled. Then 1-row maps, 1-column maps, and two stacks of one."""
     smooth = upsample_bilinear(rng.normal(size=(240, 8, 8)).astype(np.float32), 64, 64)
     smooth[120:] = np.maximum(smooth[120:], 0)  # clipped: several separate blobs
     noisy = rng.uniform(size=(200, 64, 64)).astype(np.float32)
@@ -129,19 +208,29 @@ def box_test_maps(rng):
             x1, x2 = x2, x1
         tie[y1 : y1 + size, x1 : x1 + size] = 1.0
         tie[y2 : y2 + size, x2 : x2 + size] = 1.0
-    maps = np.concatenate([normalize_minmax(smooth).values, noisy, zero, constant, ties])
-    return maps[rng.permutation(len(maps))]
+    maps = np.concatenate([normalize_minmax(smooth).values, noisy, zero, constant, ties, stress_maps(rng)])
+    lines = np.concatenate([
+        rng.uniform(size=(30, 1, 64)),
+        upsample_bilinear(rng.normal(size=(30, 1, 8)), 1, 64),
+        np.ones((2, 1, 64)),
+        (np.arange(64) % 2 == 0)[None, None].repeat(2, axis=0),
+    ]).astype(np.float32)
+    winding = np.array([[int(c) for c in row] for row in WINDING_MASK.split()], dtype=np.float32)
+    return [maps[rng.permutation(len(maps))], lines, lines.transpose(0, 2, 1), winding[None], smooth[:1]]
+
 
 
 class TestExtractBboxes:
     @pytest.mark.parametrize("tau", [0.1, 0.2, 0.35, 0.5])
     def test_equals_per_map_reference(self, tau):
-        maps = box_test_maps(np.random.default_rng(31))
+        maps, *others = box_test_maps(np.random.default_rng(31))
         expected = [oracles.extract_bbox_ref(m, tau) for m in maps]
         assert extract_bboxes(maps, tau) == expected
         chunked = [box for start in range(0, len(maps), 7) for box in extract_bboxes(maps[start : start + 7], tau)]
         assert chunked == expected
         assert [extract_bbox(m, tau) for m in maps[:40]] == expected[:40]
+        for stack in others:
+            assert extract_bboxes(stack, tau) == [oracles.extract_bbox_ref(m, tau) for m in stack]
 
     def test_tie_goes_to_first_component_in_raster_order(self):
         heat = np.zeros((2, 8, 8), dtype=np.float32)

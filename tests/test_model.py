@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -404,3 +406,30 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes() + b"junk")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # a flipped bit makes the first name byte 0xe2, which starts no valid UTF-8 here
+            (lambda blob: blob.replace(b"backbone.0.weight", b"\xe2ackbone.0.weight"), "is not UTF-8"),
+            (
+                lambda blob: blob.replace(b"backbone.1.weight", b"backbone.0.weight"),
+                "backbone.0.weight appears twice",
+            ),
+            # one tensor of rank 70, every dim 1: the sizes add up, numpy cannot hold it
+            (
+                lambda blob: (
+                    blob[:8] + struct.pack("<IHc", 1, 1, b"w") + struct.pack("<B70I", 70, *[1] * 70) + bytes(4)
+                ),
+                "tensor w of shape",
+            ),
+        ],
+        ids=["name_not_utf8", "name_twice", "rank_70"],
+    )
+    def test_malformed_tensor_header_is_checkpoint_error(self, tmp_path, edit, message):
+        path = tmp_path / "model.bin"
+        save_checkpoint(init_model(small_config()), path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CheckpointError, match=message) as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)

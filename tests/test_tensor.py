@@ -111,12 +111,40 @@ class TestConv2d:
         np.testing.assert_array_equal(kt.grad, ref_gk)
         np.testing.assert_array_equal(bt.grad, ref_gb)
 
+    @pytest.mark.parametrize("k, n, h, w", [(1, 3, 7, 6), (3, 3, 7, 6), (7, 3, 2, 3), (7, 1, 2, 3)])
+    def test_same_size_input_gradient_keeps_nan_and_zero_bits(self, k, n, h, w):
+        # the stride-1 same-size col2im adds -0.0 where a tap lands outside
+        # the input (for a 7x7 kernel on 2x3 maps, some taps land nowhere);
+        # every bit of the input gradient must match the padded buffer
+        # col2im, with NaN and zero gradient columns in the mix
+        rng = np.random.default_rng(k)
+        x = rng.normal(size=(n, 4, h, w)).astype(np.float32)
+        kernel = rng.normal(size=(5, 4, k, k)).astype(np.float32)
+        bias = np.zeros(5, dtype=np.float32)
+        ref_out, ref_backward = oracles.conv2d_nchw(x, kernel, bias, 1, k // 2)
+        g = rng.normal(size=ref_out.shape).astype(np.float32)
+        g[rng.uniform(size=(n, 1, h, w)).repeat(5, axis=1) < 0.3] = -0.0
+        g[rng.uniform(size=g.shape) < 0.2] = 0.0
+        g[rng.uniform(size=g.shape) < 0.02] = np.nan
+        ref_gx = ref_backward(g)[0]
+        xt = t(x.transpose(1, 0, 2, 3), grad=True)
+        out = conv2d(xt, t(kernel, grad=True), t(bias, grad=True), pad=k // 2)
+        backward(tensor_sum(mul(out, t(g.transpose(1, 0, 2, 3)))))
+        np.testing.assert_array_equal(xt.grad.transpose(1, 0, 2, 3).view(np.uint32), ref_gx.view(np.uint32))
+
     def test_no_input_gradient_without_grad(self):
         x = t(np.ones((1, 2, 4, 4)))
         k = t(np.ones((1, 1, 3, 3)), grad=True)
         backward(tensor_sum(conv2d(x, k, t([0.0]), pad=1)))
         assert x.grad is None
         assert k.grad is not None
+
+    def test_no_backward_recorded_under_no_grad(self):
+        # the backward closure holds the im2col columns: inference keeps none
+        x = t(np.ones((2, 3, 5, 5)), grad=True)
+        with no_grad():
+            out = conv2d(x, t(np.ones((4, 2, 3, 3)), grad=True), t(np.zeros(4), grad=True), pad=1)
+        assert out._backward_fn is None and out._parents == ()
 
     def test_purity_and_no_input_mutation(self):
         rng = np.random.default_rng(5)
@@ -335,6 +363,17 @@ class TestBackward:
         backward(loss)
         backward(loss)
         np.testing.assert_array_equal(x.grad, [2.0, 0.0])
+        # through a conv, the second call reads the columns the forward built
+        rng = np.random.default_rng(8)
+        x = t(rng.normal(size=(2, 3, 6, 6)), grad=True)
+        kernel = t(rng.normal(size=(4, 2, 3, 3)), grad=True)
+        out = conv2d(x, kernel, t(np.zeros(4), grad=True), pad=1)
+        loss = tensor_sum(mul(out, t(rng.normal(size=out.shape))))
+        backward(loss)
+        once_x, once_kernel = x.grad.copy(), kernel.grad.copy()
+        backward(loss)
+        np.testing.assert_array_equal(kernel.grad, 2 * once_kernel)
+        np.testing.assert_array_equal(x.grad, 2 * once_x)
 
     def test_no_grad_disables_recording(self):
         x = t([1.0, 2.0], grad=True)
