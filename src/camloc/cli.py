@@ -242,9 +242,12 @@ def _split_rows(cfg: RunConfig, split: str) -> tuple[Path, list]:
     if not annotations.exists():
         raise DataError(f"missing dataset split '{split}': {annotations} not found (run gen-data first)")
     try:
-        return directory, read_annotations(annotations, cfg.dataset.num_classes, cfg.dataset.image_size)
+        rows = read_annotations(annotations, cfg.dataset.num_classes, cfg.dataset.image_size)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
+    if not rows:
+        raise DataError(f"{annotations}: no samples")
+    return directory, rows
 
 
 def _read_sample(cfg: RunConfig, directory: Path, row) -> Sample:

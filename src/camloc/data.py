@@ -151,10 +151,14 @@ def read_annotations(path, num_classes: int | None = None, image_size=None) -> l
     """Parse annotation CSV; an optional header line is detected by a
     non-numeric second field. Given ``num_classes``, a class id outside
     [0, num_classes) is an error; given ``image_size`` (H, W), so is a box
-    that reaches past the image. Errors name the file and line."""
+    that reaches past the image. A file name must name a file in the
+    annotation file's own directory. Errors name the file and line."""
     rows: list[tuple[str, int, BBox]] = []
-    with open(path, "r", encoding="ascii") as handle:
+    # a byte past ASCII decodes to U+FFFD, so the error can name its line
+    with open(path, "r", encoding="ascii", errors="replace") as handle:
         for line_no, line in enumerate(handle, start=1):
+            if "\ufffd" in line:
+                raise ValueError(f"{path}: line {line_no}: a byte that is not ASCII")
             line = line.strip()
             if not line:
                 continue
@@ -163,6 +167,8 @@ def read_annotations(path, num_classes: int | None = None, image_size=None) -> l
                 raise ValueError(f"{path}: line {line_no}: expected 6 fields, found {len(parts)}")
             if line_no == 1 and not parts[1].lstrip("-").isdigit():
                 continue
+            if parts[0] in ("", ".", "..") or any(c in parts[0] for c in "/\\\0"):
+                raise ValueError(f"{path}: line {line_no}: {parts[0]!r} is not a file name in the split")
             try:
                 numbers = [int(p) for p in parts[1:]]
             except ValueError as exc:

@@ -82,8 +82,10 @@ def _parse_header(blob: bytes, expected_magic: bytes, path) -> tuple[int, int, i
     if tokens[0] != expected_magic:
         raise ValueError(f"{path}: bad magic {tokens[0]!r}, expected {expected_magic!r}")
     try:
-        width, height, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    except ValueError as exc:
+        if not all(token.isdigit() for token in tokens[1:]):  # int() also reads "+64" and "6_4"
+            raise ValueError("fields must be plain decimal")
+        width, height, maxval = (int(token) for token in tokens[1:])
+    except ValueError as exc:  # also a field past int()'s digit limit
         raise ValueError(f"{path}: malformed header fields {tokens[1:]}") from exc
     if width < 1 or height < 1:
         raise ValueError(f"{path}: invalid dimensions {width}x{height}")

@@ -93,8 +93,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.guidance_mode not in GUIDANCE_MODES:
             raise ValueError(
                 f"unknown guidance mode '{self.guidance_mode}'; valid: {', '.join(GUIDANCE_MODES)}"
@@ -330,13 +330,18 @@ def _train_chunk(params: ModelParams, images: np.ndarray, labels: np.ndarray, co
     return float(loss.data), hits_a, hits_b
 
 
+# a diverging run raises NumericError, so numpy's floating-point warnings on
+# the way there are silenced
+@np.errstate(all="ignore")
 def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> TrainReport:
     """SGD training; guidance follows the ground-truth label.
 
     Each batch runs as chunks of ``TRAIN_CHUNK`` samples, one graph per
     chunk; their gradients accumulate and are averaged over the batch. The
     sample order is reshuffled every epoch by a generator seeded from
-    ``config.seed``, so identical configs reproduce identical runs.
+    ``config.seed``, so identical configs reproduce identical runs. A
+    non-finite loss, or a parameter left non-finite by the last step,
+    raises :class:`NumericError`.
     """
     samples = list(dataset)
     if not samples:
@@ -372,6 +377,9 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
         report.acc_b.append(hits_b / n)
         if progress is not None:
             progress(epoch, report.losses[-1], report.acc_a[-1], report.acc_b[-1])
+    for name, tensor in params.tensors.items():
+        if not np.isfinite(tensor.data).all():
+            raise NumericError(f"non-finite parameter {name} after training")
     return report
 
 

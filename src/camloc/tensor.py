@@ -10,6 +10,11 @@ array, the layout the im2col GEMM of :func:`conv2d` reads and writes, so
 no op transposes between layers. A (C,H,W) input is the N=1 case. Pooling
 to logits turns (C,N,H,W) into (N,C).
 
+A conv whose output grid is its input grid (every conv of the model)
+builds its im2col columns as one shifted copy per kernel tap of each
+channel's flattened N*H*W block, with no padded buffer, and its col2im as
+the same shifts added back; other convs copy one tap slice at a time.
+
 A recorded op's backward closure keeps what its gradient needs, such as a
 conv's im2col columns, for as long as the graph lives; under
 :func:`no_grad` no closure is recorded, so an inference pass keeps nothing.
@@ -17,11 +22,11 @@ conv's im2col columns, for as long as the graph lives; under
 
 from __future__ import annotations
 
+import math
 import threading
 from contextlib import contextmanager
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 _grad_state = threading.local()
 
@@ -152,8 +157,8 @@ def backward(loss: Tensor) -> None:
 
 def sgd_step(params, lr: float) -> None:
     """Vanilla gradient step ``p <- p - lr * grad``; clears grads after."""
-    if lr < 0:
-        raise ValueError(f"learning rate must be non-negative, got {lr}")
+    if not (math.isfinite(lr) and lr >= 0):
+        raise ValueError(f"learning rate must be finite and non-negative, got {lr}")
     params = list(params)
     for p in params:
         if p.grad is None:
@@ -236,7 +241,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     batch = x.data.reshape(cin, -1, h, w)
     n = batch.shape[1]
     out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    columns = _im2col(batch, kh, kw, pad, stride)
+    same_size = stride == 1 and (out_h, out_w) == (h, w)
+    columns = _im2col_same(batch, kh, kw, pad) if same_size else _im2col(batch, kh, kw, pad, stride)
     # the GEMM output is already the contiguous (Cout,N,oh,ow) result
     out_data = (kernel.data.reshape(cout, -1) @ columns).reshape(cout, n, out_h, out_w)
     out_data += bias.data[:, None, None, None]
@@ -250,17 +256,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         if not input_grad:
             return (None, g_kernel, g_bias)
         g_cols = (kernel.data.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
-        if stride == 1 and (out_h, out_w) == (h, w):
-            return (_col2im_same(g_cols, pad).reshape(x.shape), g_kernel, g_bias)
-        # col2im straight into the unpadded gradient: each tap adds only the
-        # output positions that land inside the input, in the same order as
-        # through a zero-padded buffer
-        g_x = np.zeros((cin, n, h, w), dtype=np.float32)
-        for i in range(kh):
-            rows, tap_rows = _tap(i - pad, stride, out_h, h)
-            for j in range(kw):
-                cols, tap_cols = _tap(j - pad, stride, out_w, w)
-                g_x[:, :, rows, cols] += g_cols[:, i, j, :, tap_rows, tap_cols]
+        g_x = _col2im_same(g_cols, pad) if same_size else _col2im(g_cols, pad, stride, (h, w))
         return (g_x.reshape(x.shape), g_kernel, g_bias)
 
     return _record(out, (x, kernel, bias), bwd)
@@ -419,21 +415,6 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top[..., x0] * (1 - wx) + top[..., x1] * wx + bottom[..., x0] * (1 - wx) + bottom[..., x1] * wx
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int) -> np.ndarray:
-    """The (Cin*kh*kw, N*oh*ow) column matrix of zero-padded (Cin,N,H,W) inputs;
-    for a 1x1 kernel at stride 1 it is the input itself, reshaped."""
-    cin, n, h, w = x.shape
-    if kh == kw == stride == 1 and pad == 0:
-        return x.reshape(cin, n * h * w)
-    if pad:
-        xp = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-        x = xp
-    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-    _, _, out_h, out_w = windows.shape[:4]
-    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
-
-
 def _tap(offset: int, stride: int, n_out: int, n_in: int) -> tuple[slice, slice]:
     """Where one kernel tap lands along an axis: the input slice and the
     output slice of the positions o with 0 <= o*stride + offset < n_in."""
@@ -442,6 +423,61 @@ def _tap(offset: int, stride: int, n_out: int, n_in: int) -> tuple[slice, slice]
     if hi <= lo:
         return slice(0, 0), slice(0, 0)
     return slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride), slice(lo, hi)
+
+
+def _taps(kh: int, kw: int, pad: int, stride: int, out_hw, in_hw):
+    """Where each kernel tap (i, j) lands: yields i, j, the input (rows, cols)
+    slices it reads and the output (rows, cols) slices it reads them for.
+    A tap that lands nowhere in the input is left out."""
+    (out_h, out_w), (h, w) = out_hw, in_hw
+    for i in range(kh):
+        rows, tap_rows = _tap(i - pad, stride, out_h, h)
+        for j in range(kw):
+            cols, tap_cols = _tap(j - pad, stride, out_w, w)
+            if tap_rows.start < tap_rows.stop and tap_cols.start < tap_cols.stop:
+                yield i, j, (rows, cols), (tap_rows, tap_cols)
+
+
+def _shifted_taps(kh: int, kw: int, pad: int, n: int, h: int, w: int):
+    """The landing taps of a stride-1 same-size conv as shifts along the
+    flattened N*H*W block: yields i, j and slices ``out`` and ``inp``, tap
+    position o reading input o + shift. Where that wraps into another row
+    or plane, :func:`_clear_outside` writes over it."""
+    size = n * h * w
+    for i, j, _, _ in _taps(kh, kw, pad, 1, (h, w), (h, w)):
+        shift = (i - pad) * w + j - pad
+        yield i, j, slice(max(-shift, 0), size - max(shift, 0)), slice(max(shift, 0), size + min(shift, 0))
+
+
+def _clear_outside(columns: np.ndarray, pad: int, value: float) -> None:
+    """Write ``value`` wherever a tap of the (Cin,kh,kw,N,H,W) columns of a
+    stride-1 same-size conv reads outside the input: one assignment per tap
+    row, then one per tap column."""
+    _, kh, kw, _, h, w = columns.shape
+    for i in range(kh):
+        _, rows = _tap(i - pad, 1, h, h)
+        columns[:, i, :, :, : rows.start] = value
+        columns[:, i, :, :, rows.stop :] = value
+    for j in range(kw):
+        _, cols = _tap(j - pad, 1, w, w)
+        columns[:, :, j, :, :, : cols.start] = value
+        columns[:, :, j, :, :, cols.stop :] = value
+
+
+def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
+    """The (Cin*kh*kw, N*H*W) column matrix of a stride-1 conv whose output
+    grid is its (Cin,N,H,W) input's grid: one shifted copy per tap of each
+    channel's N*H*W block, then zeros where a tap reads outside the input;
+    no padded buffer and no transpose. A 1x1 kernel's is the input itself."""
+    cin, n, h, w = x.shape
+    flat = x.reshape(cin, n * h * w)
+    if kh == kw == 1:
+        return flat
+    columns = np.empty((cin, kh, kw, n * h * w), dtype=x.dtype)
+    for i, j, out, inp in _shifted_taps(kh, kw, pad, n, h, w):
+        columns[:, i, j, out] = flat[:, inp]
+    _clear_outside(columns.reshape(cin, kh, kw, n, h, w), pad, 0.0)
+    return columns.reshape(cin * kh * kw, n * h * w)
 
 
 def _col2im_same(g_cols: np.ndarray, pad: int) -> np.ndarray:
@@ -453,24 +489,39 @@ def _col2im_same(g_cols: np.ndarray, pad: int) -> np.ndarray:
     A tap's values whose input position falls outside their own row or
     plane are set to -0.0 first. x + (-0.0) has the bits of x for every
     float x, so each element sums the same terms in the same order as the
-    per-tap slices of the general path. Overwrites ``g_cols``.
+    per-tap slices of :func:`_col2im`. Overwrites ``g_cols``.
     """
     cin, kh, kw, n, h, w = g_cols.shape
-    size = n * h * w
-    g_x = np.zeros((cin, size), dtype=np.float32)
-    for i in range(kh):
-        _, rows = _tap(i - pad, 1, h, h)
-        for j in range(kw):
-            _, cols = _tap(j - pad, 1, w, w)
-            if rows.start == rows.stop or cols.start == cols.stop:
-                continue  # the tap lands nowhere in the input
-            tap = g_cols[:, i, j]
-            tap[:, :, : rows.start] = tap[:, :, rows.stop :] = -0.0
-            tap[..., : cols.start] = tap[..., cols.stop :] = -0.0
-            shift = (i - pad) * w + j - pad
-            source = tap.reshape(cin, size)[:, max(-shift, 0) : size - max(shift, 0)]
-            g_x[:, max(shift, 0) : size + min(shift, 0)] += source
+    _clear_outside(g_cols, pad, -0.0)
+    g_flat = g_cols.reshape(cin, kh, kw, n * h * w)
+    g_x = np.zeros((cin, n * h * w), dtype=np.float32)
+    for i, j, out, inp in _shifted_taps(kh, kw, pad, n, h, w):
+        g_x[:, inp] += g_flat[:, i, j, out]
     return g_x.reshape(cin, n, h, w)
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int) -> np.ndarray:
+    """The (Cin*kh*kw, N*oh*ow) column matrix of a (Cin,N,H,W) input at any
+    stride and zero padding: one slice copy per tap of the output positions
+    that land inside the input, zeros elsewhere."""
+    cin, n, h, w = x.shape
+    out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    columns = np.zeros((cin, kh, kw, n, out_h, out_w), dtype=x.dtype)
+    for i, j, (rows, cols), (tap_rows, tap_cols) in _taps(kh, kw, pad, stride, (out_h, out_w), (h, w)):
+        columns[:, i, j, :, tap_rows, tap_cols] = x[:, :, rows, cols]
+    return columns.reshape(cin * kh * kw, n * out_h * out_w)
+
+
+def _col2im(g_cols: np.ndarray, pad: int, stride: int, in_hw) -> np.ndarray:
+    """col2im at any stride and padding, straight into the unpadded
+    (Cin,N,H,W) input gradient: each tap adds only the output positions
+    that land inside the input, in the same order as through a zero-padded
+    buffer."""
+    cin, kh, kw, n, out_h, out_w = g_cols.shape
+    g_x = np.zeros((cin, n, *in_hw), dtype=np.float32)
+    for i, j, (rows, cols), (tap_rows, tap_cols) in _taps(kh, kw, pad, stride, (out_h, out_w), in_hw):
+        g_x[:, :, rows, cols] += g_cols[:, i, j, :, tap_rows, tap_cols]
+    return g_x
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:

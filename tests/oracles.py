@@ -28,29 +28,36 @@ def conv2d_ref(x, kernel, bias, stride=1, pad=0):
     return out
 
 
+def im2col_padded(x, kh, kw, pad, stride):
+    """The (Cin*kh*kw, N*oh*ow) columns of a (Cin,N,H,W) input as the conv
+    built them before the shifted-copy columns: a zero-padded buffer, then
+    a transposed copy of its sliding windows."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    cin, n, h, w = x.shape
+    xp = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x
+    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    out_h, out_w = windows.shape[2:4]
+    return windows.transpose(0, 4, 5, 1, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
+
+
 def conv2d_nchw(x, kernel, bias, stride=1, pad=0):
     """The float32 im2col conv as it ran on batch-major (N,Cin,H,W) inputs,
     before batches went channel-major: forward output (N,Cout,oh,ow) and a
     function from the output gradient to (g_x, g_kernel, g_bias)."""
-    from numpy.lib.stride_tricks import sliding_window_view
-
     n, cin, h, w = x.shape
     cout, _, kh, kw = kernel.shape
     out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
 
-    def im2col():
-        xp = np.zeros((n, cin, h + 2 * pad, w + 2 * pad), dtype=np.float32)
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-        windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
-        return windows.transpose(1, 4, 5, 0, 2, 3).reshape(cin * kh * kw, n * out_h * out_w)
-
-    gemm = (kernel.reshape(cout, -1) @ im2col()).reshape(cout, n, out_h, out_w)
+    columns = im2col_padded(x.transpose(1, 0, 2, 3), kh, kw, pad, stride)
+    gemm = (kernel.reshape(cout, -1) @ columns).reshape(cout, n, out_h, out_w)
     out = np.empty((n, cout, out_h, out_w), dtype=np.float32)
     np.add(gemm.transpose(1, 0, 2, 3), bias[:, None, None], out=out)
 
     def backward(g):
         gmat = g.reshape(n, cout, out_h * out_w).transpose(1, 0, 2).reshape(cout, n * out_h * out_w)
-        g_kernel = (gmat @ im2col().T).reshape(kernel.shape)
+        g_kernel = (gmat @ columns.T).reshape(kernel.shape)
         g_bias = gmat.sum(axis=1)
         g_cols = (kernel.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
         g_xp = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)

@@ -149,6 +149,40 @@ class TestTrainCommand:
         assert run("train", "--config", small_cfg_file, "--out", str(out)) == 3
 
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("learning_rate = 0.01", "learning_rate = nan"),
+            ("learning_rate = 0.01", "learning_rate = inf"),
+            ("epochs = 2", "epochs = 0"),
+        ],
+    )
+    def test_invalid_train_setting_is_one_line_usage_error(self, capsys, tmp_path, old, new):
+        # a non-finite learning rate is refused as zero epochs are: before
+        # any dataset is read
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(SMALL_CONFIG.replace(old, new))
+        assert run("train", "--config", str(cfg_path), "--out", str(tmp_path / "run")) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: invalid configuration: "), err
+
+    def test_diverging_run_is_one_line_numeric_failure(self, tmp_path):
+        # a fresh process, so that a numpy warning would reach stderr as it
+        # does for a user
+        cfg_path = tmp_path / "diverge.cfg"
+        cfg_text = SMALL_CONFIG.replace("train_samples = 16", "train_samples = 8")
+        cfg_path.write_text(cfg_text.replace("learning_rate = 0.01", "learning_rate = 1e10"))
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", str(cfg_path), "--out", str(out)) == 0
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        command = [sys.executable, "-m", "camloc.cli", "train", "--config", str(cfg_path), "--out", str(out)]
+        result = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert result.returncode == 3, result.stderr
+        assert result.stderr.count("\n") == 1 and result.stderr.startswith("numeric failure: "), result.stderr
+        assert not (out / "checkpoint.bin").exists()
+
+
 class TestAnnotationValidation:
     """A split whose annotations or images do not fit the configured dataset
     is a data error (exit 2) that names the file, not an IndexError."""
@@ -278,6 +312,20 @@ class TestEvalCommand:
         assert "non-finite" in capsys.readouterr().err
 
 
+def run_quietly(capsys, *argv):
+    """Run the CLI and return its exit code and stderr. A failure must print
+    exactly one line and no numpy or Python warning."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print lines of its own
+        code = run(*argv)
+    assert not caught, [str(w.message) for w in caught]
+    err = capsys.readouterr().err
+    if code != 0:
+        assert err.count("\n") == 1 and err.startswith(("error: ", "numeric failure: ")), err
+    return code, err
+
+
 def checkpoint_header_bytes(blob: bytes) -> set[int]:
     """Offsets of every byte of a checkpoint that is not tensor data: the
     file header, and each tensor's name length, name, rank and dims."""
@@ -307,15 +355,7 @@ class TestCorruptCheckpoint:
 
     def run_eval(self, capsys, cfg_path, out, blob):
         (out / "checkpoint.bin").write_bytes(blob)
-        capsys.readouterr()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # a warning would print lines of its own
-            code = run("eval", "--config", cfg_path, "--out", str(out))
-        assert not caught, [str(w.message) for w in caught]
-        err = capsys.readouterr().err
-        if code != 0:
-            assert err.count("\n") == 1 and err.startswith(("error: ", "numeric failure: ")), err
-        return code, err
+        return run_quietly(capsys, "eval", "--config", cfg_path, "--out", str(out))
 
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -350,6 +390,134 @@ class TestCorruptCheckpoint:
         save_checkpoint(params, out / "infinite.bin")
         code, err = self.run_eval(capsys, cfg_path, out, (out / "infinite.bin").read_bytes())
         assert code == 3 and "non-finite" in err
+
+
+# a header token: no whitespace, and no leading '#', which opens a comment
+header_tokens = st.binary(min_size=1, max_size=6).filter(
+    lambda b: not any(c in b" \t\r\n" for c in b) and not b.startswith(b"#")
+)
+
+
+class TestMalformedPpm:
+    """A malformed PPM in the test split gives exit 2 and a one-line error
+    from both commands that read it: `eval` reads every image, `visualize`
+    the requested one (sample 0 here)."""
+
+    @pytest.fixture
+    def ppm_run(self, oracle_run):
+        cfg_path, out = oracle_run
+        path = out / "dataset" / "test" / "test_00000.ppm"
+        return cfg_path, out, path, path.read_bytes()
+
+    def run_with(self, capsys, ppm_run, command, blob):
+        cfg_path, out, path, _ = ppm_run
+        path.write_bytes(blob)
+        code, err = run_quietly(capsys, command, "--config", cfg_path, "--out", str(out))
+        assert code == 2, err
+        assert "test_00000.ppm" in err, err
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(["eval", "visualize"]))
+    def test_bad_header_field(self, capsys, ppm_run, data, command):
+        intact = ppm_run[3]
+        raster = intact[len(b"P6\n64 64\n255\n") :]
+        fields = [b"P6", b"64", b"64", b"255"]
+        index = data.draw(st.integers(0, 3))
+        # any token but the right one: a wrong number, a token that is not
+        # one, or one that is not plain decimal or too long for int()
+        numbers = st.integers(-5, 70000).map(lambda v: str(v).encode())
+        python_only = st.sampled_from([b"+64", b"6_4", b"+255", b"25_5", b"9" * 5000])
+        wrong = st.one_of(numbers, header_tokens, python_only)
+        fields[index] = data.draw(wrong.filter(lambda b: b != (b"P6", b"64", b"64", b"255")[index]))
+        self.run_with(capsys, ppm_run, command, b"%s\n%s %s\n%s\n" % tuple(fields) + raster)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(["eval", "visualize"]))
+    def test_truncated(self, capsys, ppm_run, data, command):
+        intact = ppm_run[3]
+        self.run_with(capsys, ppm_run, command, intact[: data.draw(st.integers(0, len(intact) - 1))])
+
+
+class TestMalformedAnnotations:
+    """A malformed annotation CSV of the test split gives exit 2 and a
+    one-line error from `eval` and `visualize`."""
+
+    @pytest.fixture
+    def csv_run(self, oracle_run):
+        cfg_path, out = oracle_run
+        path = out / "dataset" / "test" / "annotations.csv"
+        return cfg_path, out, path, path.read_bytes().decode("ascii").splitlines()
+
+    def run_with(self, capsys, csv_run, command, text, culprit="annotations.csv"):
+        cfg_path, out, path, _ = csv_run
+        path.write_bytes(text if isinstance(text, bytes) else text.encode("ascii"))
+        code, err = run_quietly(capsys, command, "--config", cfg_path, "--out", str(out))
+        assert code == 2, err
+        assert culprit in err, err  # the error names the file at fault
+
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command=st.sampled_from(["eval", "visualize"]))
+    def test_bad_field(self, capsys, csv_run, data, command):
+        lines = list(csv_run[3])
+        # line 1 may be a header, so the bad row is a later one
+        row = data.draw(st.integers(1, len(lines) - 1))
+        fields = lines[row].split(",")
+        kind = data.draw(st.sampled_from(["count", "text", "negative", "class", "outside", "empty box"]))
+        if kind == "count":
+            extra = data.draw(st.integers(-5, 3).filter(lambda d: d != 0))
+            fields = fields[:extra] if extra < 0 else fields + ["0"] * extra
+        elif kind == "text":
+            # not an integer: holds a character that no int literal holds
+            digits_and_signs = set("0123456789+-_ ")
+            text = st.text(st.characters(min_codepoint=32, max_codepoint=126, blacklist_characters=","), min_size=1)
+            fields[data.draw(st.integers(1, 5))] = data.draw(text.filter(lambda t: not set(t) <= digits_and_signs))
+        elif kind == "negative":
+            fields[data.draw(st.integers(1, 5))] = str(data.draw(st.integers(-1000, -1)))
+        elif kind == "class":
+            fields[1] = str(data.draw(st.integers(4, 10**30)))
+        elif kind == "outside":
+            fields[data.draw(st.sampled_from([4, 5]))] = str(data.draw(st.integers(65, 10**6)))
+        else:
+            axis = data.draw(st.sampled_from([(2, 4), (3, 5)]))
+            fields[axis[1]] = str(int(fields[axis[0]]) - data.draw(st.integers(0, 3)))
+        lines[row] = ",".join(fields)
+        self.run_with(capsys, csv_run, command, "\n".join(lines) + "\n")
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        data=st.data(),
+        command=st.sampled_from(["eval", "visualize"]),
+        junk=st.binary(min_size=1, max_size=12).filter(lambda b: max(b) >= 0x80),
+    )
+    def test_non_ascii_bytes(self, capsys, csv_run, data, command, junk):
+        text = ("\n".join(csv_run[3]) + "\n").encode("ascii")
+        at = data.draw(st.integers(0, len(text)))
+        self.run_with(capsys, csv_run, command, text[:at] + junk + text[at:])
+
+    @pytest.mark.parametrize(
+        "name, culprit",
+        [
+            ("", "annotations.csv"),
+            (".", "annotations.csv"),
+            ("..", "annotations.csv"),
+            ("../test/test_00000.ppm", "annotations.csv"),
+            ("test_00000.ppm\x00", "annotations.csv"),
+            ("missing.ppm", "missing.ppm"),
+            ("test_00000.ppm ", "test_00000.ppm "),
+            ("annotations.csv", "annotations.csv"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["eval", "visualize"])
+    def test_bad_image_name(self, capsys, csv_run, command, name, culprit):
+        # sample 0's file: `visualize` reads that one
+        lines = list(csv_run[3])
+        lines[0] = ",".join([name] + lines[0].split(",")[1:])
+        self.run_with(capsys, csv_run, command, "\n".join(lines) + "\n", culprit)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "file,label,x_min,y_min,x_max,y_max\n"])
+    @pytest.mark.parametrize("command", ["eval", "visualize"])
+    def test_no_rows(self, capsys, csv_run, command, text):
+        self.run_with(capsys, csv_run, command, text)
 
 
 class TestVisualizeCommand:

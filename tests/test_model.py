@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -316,6 +317,33 @@ class TestTrain:
         with pytest.raises(NumericError, match="non-finite"):
             train(params, train_split, TrainConfig(epochs=1, batch_size=2, learning_rate=0.01))
 
+    def test_non_finite_parameter_after_last_step_raises_numeric_error(self, monkeypatch):
+        # the loss is checked before each step, so only the final check can
+        # see a weight that the last step made non-finite
+        import camloc.model as model_mod
+
+        real_step = model_mod.sgd_step
+
+        def overflowing_step(params, lr):
+            real_step(params, lr)
+            params[-1].data[0] = np.inf
+
+        monkeypatch.setattr(model_mod, "sgd_step", overflowing_step)
+        train_split, _ = small_dataset(n_train=4)
+        with pytest.raises(NumericError, match="non-finite parameter"):
+            train(init_model(small_config()), train_split, TrainConfig(epochs=1, batch_size=4, learning_rate=0.01))
+
+    def test_divergence_raises_numeric_error_without_warnings(self):
+        train_split, _ = small_dataset()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            with pytest.raises(NumericError, match="non-finite"):
+                train(
+                    init_model(small_config()),
+                    train_split,
+                    TrainConfig(epochs=2, batch_size=4, learning_rate=1e10, seed=3),
+                )
+
     def test_report_length_matches_epochs(self):
         train_split, _ = small_dataset(n_train=4)
         report = train(
@@ -334,6 +362,11 @@ class TestTrainConfig:
     def test_negative_learning_rate(self):
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=-0.1)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(learning_rate=lr)
 
     def test_threshold_range(self):
         with pytest.raises(ValueError, match="erase_threshold"):

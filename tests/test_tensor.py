@@ -19,7 +19,7 @@ from camloc import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from camloc.tensor import maxpool2x2, upsample_bilinear
+from camloc.tensor import _im2col, _im2col_same, maxpool2x2, upsample_bilinear
 
 import oracles
 
@@ -131,6 +131,34 @@ class TestConv2d:
         out = conv2d(xt, t(kernel, grad=True), t(bias, grad=True), pad=k // 2)
         backward(tensor_sum(mul(out, t(g.transpose(1, 0, 2, 3)))))
         np.testing.assert_array_equal(xt.grad.transpose(1, 0, 2, 3).view(np.uint32), ref_gx.view(np.uint32))
+
+    @staticmethod
+    def special_input(rng, shape):
+        # NaN, infinities and -0.0 among the values: a copy keeps every bit
+        x = rng.normal(size=shape).astype(np.float32)
+        specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], dtype=np.float32)
+        picks = rng.uniform(size=shape) < 0.3
+        x[picks] = rng.choice(specials, size=int(picks.sum()))
+        return x
+
+    @pytest.mark.parametrize("k, h, w", [(1, 5, 4), (3, 5, 4), (5, 6, 7), (7, 6, 7), (7, 2, 3)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_same_size_columns_equal_padded_window_columns(self, k, h, w, n):
+        # stride 1 with an output grid equal to the input grid; a 7x7 kernel
+        # on 2x3 maps has taps that land nowhere and shift past N*H*W
+        x = self.special_input(np.random.default_rng(10 * k + n), (4, n, h, w))
+        got = _im2col_same(x, k, k, k // 2)
+        expected = oracles.im2col_padded(x, k, k, k // 2, 1)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
+
+    @pytest.mark.parametrize("k, stride, pad", [(3, 2, 1), (3, 1, 0), (1, 2, 0), (5, 2, 3)])
+    def test_general_columns_equal_padded_window_columns(self, k, stride, pad):
+        x = self.special_input(np.random.default_rng(k + stride + pad), (3, 2, 7, 6))
+        got = _im2col(x, k, k, pad, stride)
+        expected = oracles.im2col_padded(x, k, k, pad, stride)
+        assert got.shape == expected.shape
+        np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
 
     def test_no_input_gradient_without_grad(self):
         x = t(np.ones((1, 2, 4, 4)))
@@ -428,3 +456,11 @@ class TestSgdStep:
         p.grad = np.zeros(1, dtype=np.float32)
         with pytest.raises(ValueError, match="non-negative"):
             sgd_step([p], -0.1)
+
+    @pytest.mark.parametrize("lr", [np.nan, np.inf])
+    def test_non_finite_lr_errors(self, lr):
+        p = t([1.0], grad=True)
+        p.grad = np.zeros(1, dtype=np.float32)
+        with pytest.raises(ValueError, match="finite"):
+            sgd_step([p], lr)
+        assert p.data[0] == 1.0
