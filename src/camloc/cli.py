@@ -12,6 +12,7 @@ import argparse
 import configparser
 import sys
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -84,22 +85,86 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # config file <-> RunConfig
 
-_BOOLEANS = {"true": True, "false": False}
+
+def _boolean(raw: str) -> bool:
+    if raw.lower() not in ("true", "false"):
+        raise ValueError(f"expected true/false, got '{raw}'")
+    return raw.lower() == "true"
 
 
-def _parse_value(section: str, key: str, raw: str, kind):
-    try:
-        if kind is bool:
-            if raw.lower() not in _BOOLEANS:
-                raise ValueError(f"expected true/false, got '{raw}'")
-            return _BOOLEANS[raw.lower()]
-        return kind(raw)
-    except ValueError as exc:
-        raise UsageError(f"config [{section}] {key}: {exc}") from exc
+# The one config schema: each ``[section] key`` maps to its RunConfig attribute
+# path, a parse function and a format function, in manifest order. A path step
+# that is a digit indexes a tuple.
+_SCHEMA = {
+    ("dataset", "num_classes"): ("dataset.num_classes", int, str),
+    ("dataset", "train_samples"): ("dataset.train_samples", int, str),
+    ("dataset", "test_samples"): ("dataset.test_samples", int, str),
+    ("dataset", "image_size"): ("dataset.image_size", lambda raw: (int(raw),) * 2, lambda v: str(v[0])),
+    ("dataset", "seed"): ("dataset.seed", int, str),
+    ("dataset", "head_min"): ("dataset.head_size.0", int, str),
+    ("dataset", "head_max"): ("dataset.head_size.1", int, str),
+    ("dataset", "body_min"): ("dataset.body_size.0", int, str),
+    ("dataset", "body_max"): ("dataset.body_size.1", int, str),
+    ("dataset", "noise_amplitude"): ("dataset.noise_amplitude", float, repr),
+    ("model", "backbone_channels"): (
+        "backbone_channels",
+        lambda raw: tuple(int(p) for p in raw.split(",")),
+        lambda v: ",".join(str(c) for c in v),
+    ),
+    ("model", "head_width"): ("head_width", int, str),
+    ("model", "seed"): ("model_seed", int, str),
+    ("train", "epochs"): ("train.epochs", int, str),
+    ("train", "batch_size"): ("train.batch_size", int, str),
+    ("train", "learning_rate"): ("train.learning_rate", float, repr),
+    ("train", "guidance_mode"): ("train.guidance_mode", str, str),
+    ("train", "erase_threshold"): ("train.erase_threshold", float, repr),
+    ("train", "seed"): ("train.seed", int, str),
+    ("fusion", "strategy"): ("fusion.strategy", str, str),
+    ("fusion", "block_radius"): ("fusion.block_radius", int, str),
+    ("eval", "bbox_tau"): ("bbox_tau", float, repr),
+    ("eval", "single_branch"): ("single_branch", _boolean, lambda v: "true" if v else "false"),
+    ("eval", "sample"): ("sample_index", int, str),
+    ("output", "out_dir"): ("out_dir", str, str),
+}
+
+# each flag's argparse dest and the schema paths it overrides
+_FLAG_PATHS = {
+    "seed": ("dataset.seed", "model_seed", "train.seed"),
+    "strategy": ("fusion.strategy",),
+    "cam_mode": ("train.guidance_mode",),
+    "erase_threshold": ("train.erase_threshold",),
+    "bbox_tau": ("bbox_tau",),
+    "single_branch": ("single_branch",),
+    "sample": ("sample_index",),
+    "out": ("out_dir",),
+}
+
+
+def _step(obj, step: str):
+    return obj[int(step)] if step.isdigit() else getattr(obj, step)
+
+
+def _with_settings(obj, settings: dict):
+    """``obj`` with each ``{path: value}`` of ``settings`` set. Each dataclass
+    or tuple on the way is rebuilt once, so its checks see the finished values."""
+    values: dict = {}
+    nested: dict = {}
+    for path, value in settings.items():
+        step, _, rest = path.partition(".")
+        if rest:
+            nested.setdefault(step, {})[rest] = value
+        else:
+            values[step] = value
+    for step, inner in nested.items():
+        values[step] = _with_settings(_step(obj, step), inner)
+    if isinstance(obj, tuple):
+        return tuple(values.get(str(i), item) for i, item in enumerate(obj))
+    return replace(obj, **values)
 
 
 def parse_config_file(path) -> RunConfig:
-    parser = configparser.ConfigParser()
+    # '%' is literal; no INI header can name "\n", so [DEFAULT] is a section whose keys are all unknown
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -108,113 +173,30 @@ def parse_config_file(path) -> RunConfig:
     except configparser.Error as exc:
         raise UsageError(f"malformed config file {path}: {exc}") from exc
 
-    cfg = RunConfig()
-    dataset_kwargs: dict = {}
-    train_kwargs: dict = {}
-    fusion_kwargs: dict = {}
-    scalars: dict = {}
-
-    handlers = {
-        ("dataset", "num_classes"): (int, lambda v: dataset_kwargs.update(num_classes=v)),
-        ("dataset", "train_samples"): (int, lambda v: dataset_kwargs.update(train_samples=v)),
-        ("dataset", "test_samples"): (int, lambda v: dataset_kwargs.update(test_samples=v)),
-        ("dataset", "image_size"): (int, lambda v: dataset_kwargs.update(image_size=(v, v))),
-        ("dataset", "seed"): (int, lambda v: dataset_kwargs.update(seed=v)),
-        ("dataset", "head_min"): (int, lambda v: dataset_kwargs.setdefault("_head", [8, 12]).__setitem__(0, v)),
-        ("dataset", "head_max"): (int, lambda v: dataset_kwargs.setdefault("_head", [8, 12]).__setitem__(1, v)),
-        ("dataset", "body_min"): (int, lambda v: dataset_kwargs.setdefault("_body", [20, 32]).__setitem__(0, v)),
-        ("dataset", "body_max"): (int, lambda v: dataset_kwargs.setdefault("_body", [20, 32]).__setitem__(1, v)),
-        ("dataset", "noise_amplitude"): (float, lambda v: dataset_kwargs.update(noise_amplitude=v)),
-        ("model", "backbone_channels"): (str, lambda v: scalars.update(backbone_channels=v)),
-        ("model", "head_width"): (int, lambda v: scalars.update(head_width=v)),
-        ("model", "seed"): (int, lambda v: scalars.update(model_seed=v)),
-        ("train", "epochs"): (int, lambda v: train_kwargs.update(epochs=v)),
-        ("train", "batch_size"): (int, lambda v: train_kwargs.update(batch_size=v)),
-        ("train", "learning_rate"): (float, lambda v: train_kwargs.update(learning_rate=v)),
-        ("train", "guidance_mode"): (str, lambda v: train_kwargs.update(guidance_mode=v)),
-        ("train", "erase_threshold"): (float, lambda v: train_kwargs.update(erase_threshold=v)),
-        ("train", "seed"): (int, lambda v: train_kwargs.update(seed=v)),
-        ("fusion", "strategy"): (str, lambda v: fusion_kwargs.update(strategy=v)),
-        ("fusion", "block_radius"): (int, lambda v: fusion_kwargs.update(block_radius=v)),
-        ("eval", "bbox_tau"): (float, lambda v: scalars.update(bbox_tau=v)),
-        ("eval", "single_branch"): (bool, lambda v: scalars.update(single_branch=v)),
-        ("eval", "sample"): (int, lambda v: scalars.update(sample_index=v)),
-        ("output", "out_dir"): (str, lambda v: scalars.update(out_dir=v)),
-    }
-
+    settings = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            handler = handlers.get((section, key))
-            if handler is None:
+            if (section, key) not in _SCHEMA:
                 raise UsageError(f"unknown config key [{section}] {key}")
-            kind, apply = handler
-            apply(_parse_value(section, key, raw, kind))
-
-    if "_head" in dataset_kwargs:
-        dataset_kwargs["head_size"] = tuple(dataset_kwargs.pop("_head"))
-    if "_body" in dataset_kwargs:
-        dataset_kwargs["body_size"] = tuple(dataset_kwargs.pop("_body"))
-    if "backbone_channels" in scalars:
-        try:
-            scalars["backbone_channels"] = tuple(int(p) for p in scalars["backbone_channels"].split(","))
-        except ValueError as exc:
-            raise UsageError(f"config [model] backbone_channels: {exc}") from exc
-
+            target, parse, _ = _SCHEMA[section, key]
+            try:
+                settings[target] = parse(raw)
+            except ValueError as exc:
+                raise UsageError(f"config [{section}] {key}: {exc}") from exc
     try:
-        return replace(
-            cfg,
-            dataset=DatasetConfig(**dataset_kwargs),
-            train=TrainConfig(**train_kwargs),
-            fusion=FusionConfig(**fusion_kwargs),
-            **scalars,
-        )
+        return _with_settings(RunConfig(), settings)
     except ValueError as exc:
         raise UsageError(f"invalid configuration: {exc}") from exc
 
 
 def write_manifest(cfg: RunConfig, path) -> None:
-    d, t, f = cfg.dataset, cfg.train, cfg.fusion
-    lines = [
-        "[dataset]",
-        f"num_classes = {d.num_classes}",
-        f"train_samples = {d.train_samples}",
-        f"test_samples = {d.test_samples}",
-        f"image_size = {d.image_size[0]}",
-        f"seed = {d.seed}",
-        f"head_min = {d.head_size[0]}",
-        f"head_max = {d.head_size[1]}",
-        f"body_min = {d.body_size[0]}",
-        f"body_max = {d.body_size[1]}",
-        f"noise_amplitude = {d.noise_amplitude!r}",
-        "",
-        "[model]",
-        f"backbone_channels = {','.join(str(c) for c in cfg.backbone_channels)}",
-        f"head_width = {cfg.head_width}",
-        f"seed = {cfg.model_seed}",
-        "",
-        "[train]",
-        f"epochs = {t.epochs}",
-        f"batch_size = {t.batch_size}",
-        f"learning_rate = {t.learning_rate!r}",
-        f"guidance_mode = {t.guidance_mode}",
-        f"erase_threshold = {t.erase_threshold!r}",
-        f"seed = {t.seed}",
-        "",
-        "[fusion]",
-        f"strategy = {f.strategy}",
-        f"block_radius = {f.block_radius}",
-        "",
-        "[eval]",
-        f"bbox_tau = {cfg.bbox_tau!r}",
-        f"single_branch = {'true' if cfg.single_branch else 'false'}",
-        f"sample = {cfg.sample_index}",
-        "",
-        "[output]",
-        f"out_dir = {cfg.out_dir}",
-        "",
-    ]
+    lines = []
+    for (section, key), (target, _, show) in _SCHEMA.items():
+        if f"[{section}]" not in lines:
+            lines += ["", f"[{section}]"]
+        lines.append(f"{key} = {show(reduce(_step, target.split('.'), cfg))}")
     with atomic_write(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(lines))
+        handle.write("\n".join(lines[1:]) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -431,31 +413,16 @@ def _build_parser() -> _ArgumentParser:
 
 def _build_config(args) -> RunConfig:
     cfg = parse_config_file(args.config) if args.config else RunConfig()
+    settings = {
+        target: getattr(args, dest)
+        for dest, targets in _FLAG_PATHS.items()
+        if getattr(args, dest) is not None
+        for target in targets
+    }
     try:
-        if args.seed is not None:
-            cfg = replace(
-                cfg,
-                dataset=replace(cfg.dataset, seed=args.seed),
-                model_seed=args.seed,
-                train=replace(cfg.train, seed=args.seed),
-            )
-        if args.strategy is not None:
-            cfg = replace(cfg, fusion=replace(cfg.fusion, strategy=args.strategy))
-        if args.cam_mode is not None:
-            cfg = replace(cfg, train=replace(cfg.train, guidance_mode=args.cam_mode))
-        if args.erase_threshold is not None:
-            cfg = replace(cfg, train=replace(cfg.train, erase_threshold=args.erase_threshold))
-        if args.bbox_tau is not None:
-            cfg = replace(cfg, bbox_tau=args.bbox_tau)
-        if args.single_branch is not None:
-            cfg = replace(cfg, single_branch=True)
-        if args.sample is not None:
-            cfg = replace(cfg, sample_index=args.sample)
-        if args.out is not None:
-            cfg = replace(cfg, out_dir=args.out)
+        return _with_settings(cfg, settings)
     except ValueError as exc:
         raise UsageError(f"invalid option: {exc}") from exc
-    return cfg
 
 
 def main(argv=None) -> int:

@@ -147,9 +147,17 @@ def write_annotations(rows, path) -> None:
             handle.write(f"{filename},{label},{box.x_min},{box.y_min},{box.x_max},{box.y_max}\n")
 
 
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
 def read_annotations(path, num_classes: int | None = None, image_size=None) -> list[tuple[str, int, BBox]]:
-    """Parse annotation CSV; an optional header line is detected by a
-    non-numeric second field. Given ``num_classes``, a class id outside
+    """Parse annotation CSV; line 1 is a header when none of its five number
+    fields is an integer. Given ``num_classes``, a class id outside
     [0, num_classes) is an error; given ``image_size`` (H, W), so is a box
     that reaches past the image. A file name must name a file in the
     annotation file's own directory. Errors name the file and line."""
@@ -165,7 +173,7 @@ def read_annotations(path, num_classes: int | None = None, image_size=None) -> l
             parts = line.split(",")
             if len(parts) != 6:
                 raise ValueError(f"{path}: line {line_no}: expected 6 fields, found {len(parts)}")
-            if line_no == 1 and not parts[1].lstrip("-").isdigit():
+            if line_no == 1 and not any(_is_int(p) for p in parts[1:]):
                 continue
             if parts[0] in ("", ".", "..") or any(c in parts[0] for c in "/\\\0"):
                 raise ValueError(f"{path}: line {line_no}: {parts[0]!r} is not a file name in the split")

@@ -49,6 +49,50 @@ def small_cfg_file(tmp_path):
     return str(path)
 
 
+# for every [section] key of the schema: one valid value away from the
+# default, and the RunConfig field it must set, with that field's value
+NON_DEFAULT = {
+    ("dataset", "num_classes"): ("6", lambda c: c.dataset.num_classes, 6),
+    ("dataset", "train_samples"): ("100", lambda c: c.dataset.train_samples, 100),
+    ("dataset", "test_samples"): ("50", lambda c: c.dataset.test_samples, 50),
+    ("dataset", "image_size"): ("32", lambda c: c.dataset.image_size, (32, 32)),
+    ("dataset", "seed"): ("11", lambda c: c.dataset.seed, 11),
+    ("dataset", "head_min"): ("9", lambda c: c.dataset.head_size, (9, 12)),
+    ("dataset", "head_max"): ("15", lambda c: c.dataset.head_size, (8, 15)),
+    ("dataset", "body_min"): ("16", lambda c: c.dataset.body_size, (16, 32)),
+    ("dataset", "body_max"): ("40", lambda c: c.dataset.body_size, (20, 40)),
+    ("dataset", "noise_amplitude"): ("0.25", lambda c: c.dataset.noise_amplitude, 0.25),
+    ("model", "backbone_channels"): ("8,16", lambda c: c.backbone_channels, (8, 16)),
+    ("model", "head_width"): ("32", lambda c: c.head_width, 32),
+    ("model", "seed"): ("5", lambda c: c.model_seed, 5),
+    ("train", "epochs"): ("3", lambda c: c.train.epochs, 3),
+    ("train", "batch_size"): ("8", lambda c: c.train.batch_size, 8),
+    ("train", "learning_rate"): ("0.03", lambda c: c.train.learning_rate, 0.03),
+    ("train", "guidance_mode"): ("threshold", lambda c: c.train.guidance_mode, "threshold"),
+    ("train", "erase_threshold"): ("0.45", lambda c: c.train.erase_threshold, 0.45),
+    ("train", "seed"): ("9", lambda c: c.train.seed, 9),
+    ("fusion", "strategy"): ("l1norm", lambda c: c.fusion.strategy, "l1norm"),
+    ("fusion", "block_radius"): ("2", lambda c: c.fusion.block_radius, 2),
+    ("eval", "bbox_tau"): ("0.35", lambda c: c.bbox_tau, 0.35),
+    ("eval", "single_branch"): ("true", lambda c: c.single_branch, True),
+    ("eval", "sample"): ("4", lambda c: c.sample_index, 4),
+    # '%' is literal, not interpolation
+    ("output", "out_dir"): ("runs/100%", lambda c: c.out_dir, "runs/100%"),
+}
+
+
+def manifest_entries(text):
+    """{(section, key): raw value} of a manifest's lines."""
+    entries, section = {}, None
+    for line in text.splitlines():
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif line:
+            key, raw = line.split(" = ", 1)
+            entries[section, key] = raw
+    return entries
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -65,6 +109,59 @@ class TestConfigFile:
         manifest = tmp_path / "manifest.cfg"
         write_manifest(cfg, manifest)
         assert parse_config_file(str(manifest)) == cfg
+
+    def test_every_key_has_a_non_default_case(self, tmp_path):
+        write_manifest(RunConfig(), tmp_path / "manifest.cfg")
+        assert list(manifest_entries((tmp_path / "manifest.cfg").read_text())) == list(NON_DEFAULT)
+
+    @pytest.mark.parametrize("section, key", list(NON_DEFAULT))
+    def test_each_key_round_trips(self, tmp_path, section, key):
+        raw, field, value = NON_DEFAULT[section, key]
+        path = tmp_path / "one.cfg"
+        path.write_text(f"[{section}]\n{key} = {raw}\n")
+        cfg = parse_config_file(str(path))
+        assert field(RunConfig()) != value
+        assert field(cfg) == value
+        manifest = tmp_path / "manifest.cfg"
+        write_manifest(cfg, manifest)
+        assert parse_config_file(str(manifest)) == cfg
+        assert manifest_entries(manifest.read_text())[section, key] == raw
+
+    @pytest.mark.parametrize(
+        "flag, keys",
+        [
+            (["--seed", "13"], [("dataset", "seed"), ("model", "seed"), ("train", "seed")]),
+            (["--strategy", "max"], [("fusion", "strategy")]),
+            (["--cam-mode", "threshold"], [("train", "guidance_mode")]),
+            (["--erase-threshold", "0.3"], [("train", "erase_threshold")]),
+            (["--bbox-tau", "0.4"], [("eval", "bbox_tau")]),
+            (["--single-branch"], [("eval", "single_branch")]),
+            (["--sample", "5"], [("eval", "sample")]),
+        ],
+    )
+    def test_flag_overrides_its_keys(self, tmp_path, small_cfg_file, flag, keys):
+        write_manifest(parse_config_file(small_cfg_file), tmp_path / "file.cfg")
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", small_cfg_file, *flag, "--out", str(out)) == 0
+        before = manifest_entries((tmp_path / "file.cfg").read_text())
+        after = manifest_entries((out / "manifest_gen-data.cfg").read_text())
+        assert {k for k in before if before[k] != after[k]} == {*keys, ("output", "out_dir")}
+        assert after["output", "out_dir"] == str(out)
+        assert {after[k] for k in keys} == {flag[1] if len(flag) > 1 else "true"}
+
+    def test_readme_example_is_the_default_manifest(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Config files are flat INI", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+        write_manifest(RunConfig(), tmp_path / "manifest.cfg")
+        assert (tmp_path / "manifest.cfg").read_text(encoding="utf-8") == block
+
+    @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 0\n", "[DEFAULT]\nseed = 3\n\n[dataset]\nnum_classes = 4\n"])
+    def test_default_section_key_rejected(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        assert run("gen-data", "--config", str(path), "--out", str(tmp_path / "run")) == 1
+        assert "unknown config key [DEFAULT]" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -459,8 +556,8 @@ class TestMalformedAnnotations:
     @given(data=st.data(), command=st.sampled_from(["eval", "visualize"]))
     def test_bad_field(self, capsys, csv_run, data, command):
         lines = list(csv_run[3])
-        # line 1 may be a header, so the bad row is a later one
-        row = data.draw(st.integers(1, len(lines) - 1))
+        # on line 1 too: a bad field does not make a row a header
+        row = data.draw(st.integers(0, len(lines) - 1))
         fields = lines[row].split(",")
         kind = data.draw(st.sampled_from(["count", "text", "negative", "class", "outside", "empty box"]))
         if kind == "count":

@@ -180,6 +180,12 @@ class TestAnnotations:
         rows = read_annotations(path)
         assert rows == [("a.ppm", 1, BBox(0, 0, 4, 4))]
 
+    def test_bad_class_on_line_one_is_not_a_header(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text("a.ppm,x,0,0,4,4\nb.ppm,2,0,0,4,4\n")
+        with pytest.raises(ValueError, match="line 1: non-integer field"):
+            read_annotations(path)
+
     def test_negative_coordinate_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("a.ppm,1,0,0,4,4\nb.ppm,2,-1,0,4,4\n")
