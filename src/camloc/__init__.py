@@ -50,7 +50,6 @@ from .tensor import (
     no_grad,
     relu,
     sgd_step,
-    softmax,
     softmax_cross_entropy,
     tensor_sum,
 )

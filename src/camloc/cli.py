@@ -1,9 +1,9 @@
 """Command-line pipeline: gen-data, train, eval, visualize.
 
 Configuration comes from an INI-style ``key = value`` file plus flag
-overrides; every command drops a manifest of the effective configuration
-into the output directory. Exit codes: 0 success, 1 usage error, 2 data or
-I/O error, 3 numeric failure.
+overrides; every command that succeeds drops a manifest of the effective
+configuration into the output directory. Exit codes: 0 success, 1 usage
+error, 2 data or I/O error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -71,6 +71,10 @@ class RunConfig:
             raise ValueError(f"bbox_tau must lie in (0, 1), got {self.bbox_tau}")
         if self.sample_index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.sample_index}")
+        # INI strips a value's outer whitespace and reads a line break as a continuation
+        if self.out_dir != self.out_dir.strip() or "\n" in self.out_dir or "\r" in self.out_dir:
+            raise ValueError(f"out_dir {self.out_dir!r} has outer whitespace or a line break")
+        self.model_config()  # a model the dataset cannot feed is refused here
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
@@ -281,19 +285,14 @@ def _load_params(cfg: RunConfig):
 # commands
 
 
-def cmd_gen_data(cfg: RunConfig) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_gen_data(cfg: RunConfig, out: Path) -> None:
     train_split, test_split = generate_dataset(cfg.dataset)
     _save_split(train_split, _split_dir(cfg, "train"), "train")
     _save_split(test_split, _split_dir(cfg, "test"), "test")
-    write_manifest(cfg, out / "manifest_gen-data.cfg")
     print(f"wrote {len(train_split)} train / {len(test_split)} test samples to {out / 'dataset'}")
 
 
-def cmd_train(cfg: RunConfig) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_train(cfg: RunConfig, out: Path) -> None:
     samples = _load_split(cfg, "train")
     params = init_model(cfg.model_config())
 
@@ -311,13 +310,10 @@ def cmd_train(cfg: RunConfig) -> None:
     ]
     with atomic_write(out / "train_log.csv", "w", encoding="ascii") as handle:
         handle.write("\n".join(log_lines) + "\n")
-    write_manifest(cfg, out / "manifest_train.cfg")
     print(f"checkpoint written to {_checkpoint_path(cfg)}")
 
 
-def cmd_eval(cfg: RunConfig) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_eval(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg)
     samples = _load_split(cfg, "test")
     report, records = evaluate(
@@ -331,7 +327,6 @@ def cmd_eval(cfg: RunConfig) -> None:
     )
     variant = "single" if cfg.single_branch else cfg.fusion.strategy
     write_records(records, out / f"records_{cfg.train.guidance_mode}_{variant}.csv")
-    write_manifest(cfg, out / "manifest_eval.cfg")
     for name in ("top1_cls_err", "top5_cls_err", "top1_loc_err", "top5_loc_err", "gt_known_loc_acc"):
         print(f"{name}={getattr(report, name):.4f}")
 
@@ -346,9 +341,7 @@ def _draw_box_outline(image: np.ndarray, box, channel: int) -> None:
     image[:, y0 : y1 + 1, x1] = color[:, None]
 
 
-def cmd_visualize(cfg: RunConfig) -> None:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg)
     directory, rows = _split_rows(cfg, "test")
     if cfg.sample_index >= len(rows):
@@ -375,7 +368,6 @@ def cmd_visualize(cfg: RunConfig) -> None:
     _draw_box_outline(overlay, box, channel=2)  # prediction in blue
     write_ppm(overlay, out / "overlay.ppm")
 
-    write_manifest(cfg, out / "manifest_visualize.cfg")
     print(f"wrote cam_a.pgm, ccam.pgm, cam_b.pgm, fused.pgm, overlay.ppm to {out}")
 
 
@@ -430,7 +422,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _build_config(args)
-        args.func(cfg)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        args.func(cfg, out)
+        write_manifest(cfg, out / f"manifest_{args.command}.cfg")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -37,6 +37,8 @@ class DatasetConfig:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.train_samples < 1 or self.test_samples < 1:
             raise ValueError("both splits need at least one sample")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name, (lo, hi) in (("head_size", self.head_size), ("body_size", self.body_size)):
             if lo < 1 or hi < lo:
                 raise ValueError(f"invalid {name} range ({lo}, {hi})")

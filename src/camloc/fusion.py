@@ -63,8 +63,6 @@ def block_average(values: np.ndarray, radius: int) -> np.ndarray:
     if radius < 0:
         raise ValueError(f"block radius must be >= 0, got {radius}")
     arr = np.asarray(values, dtype=np.float32)
-    if radius == 0:
-        return arr.copy()
     h, w = arr.shape[-2:]
     padding = [(0, 0)] * (arr.ndim - 2) + [(radius, radius)] * 2
     padded = np.pad(arr.astype(np.float64), padding)

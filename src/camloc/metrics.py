@@ -1,11 +1,11 @@
 """Box extraction from heatmaps, IoU geometry, and the evaluation metrics.
 
-Per-sample protocol: classes are ranked by softmax of the mean of the two
-branches' logits; each candidate class gets a box from its fused
-localization map. Top-1/top-5 localization requires the classification to
-be right and the box to overlap at IoU >= 0.5; ground-truth-known
-localization uses the ground-truth class's box at strictly > 0.5,
-regardless of the classification outcome.
+Per-sample protocol: classes are ranked by the mean of the two branches'
+logits; each candidate class gets a box from its fused localization map.
+Top-1/top-5 localization requires the classification to be right and the
+box to overlap at IoU >= 0.5; ground-truth-known localization uses the
+ground-truth class's box at strictly > 0.5, regardless of the
+classification outcome.
 """
 
 from __future__ import annotations

@@ -70,13 +70,12 @@ class ModelConfig:
             raise ValueError(f"backbone_channels must be positive, got {self.backbone_channels}")
         if self.head_width < 1:
             raise ValueError(f"head_width must be >= 1, got {self.head_width}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         divisor = 2 ** len(self.backbone_channels)
         h, w = self.input_size
         if h % divisor or w % divisor:
-            raise ValueError(
-                f"input_size {self.input_size} must be divisible by {divisor} "
-                f"(one 2x2 pool per backbone block)"
-            )
+            raise ValueError(f"image size {h}x{w} must be divisible by {divisor} (one 2x2 pool per backbone block)")
 
 
 @dataclass
@@ -93,6 +92,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
         if self.guidance_mode not in GUIDANCE_MODES:

@@ -13,7 +13,8 @@ to logits turns (C,N,H,W) into (N,C).
 A conv whose output grid is its input grid (every conv of the model)
 builds its im2col columns as one shifted copy per kernel tap of each
 channel's flattened N*H*W block, with no padded buffer, and its col2im as
-the same shifts added back; other convs copy one tap slice at a time.
+the same shifts added back; other convs copy one strided window per tap
+out of a zero-padded input and add the gradients back into a padded buffer.
 
 A recorded op's backward closure keeps what its gradient needs, such as a
 conv's im2col columns, for as long as the graph lives; under
@@ -327,13 +328,6 @@ def broadcast_mul_channels(features: Tensor, mask: Tensor) -> Tensor:
     return _record(out, (features,), bwd)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Numerically stable softmax of a 1-d array (max subtraction)."""
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def softmax_cross_entropy(logits: Tensor, label) -> Tensor:
     """Negative log-likelihood of ``label`` under softmax(logits), a scalar.
 
@@ -415,38 +409,25 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top[..., x0] * (1 - wx) + top[..., x1] * wx + bottom[..., x0] * (1 - wx) + bottom[..., x1] * wx
 
 
-def _tap(offset: int, stride: int, n_out: int, n_in: int) -> tuple[slice, slice]:
-    """Where one kernel tap lands along an axis: the input slice and the
-    output slice of the positions o with 0 <= o*stride + offset < n_in."""
-    lo = max(0, -(offset // stride))
-    hi = min(n_out, (n_in - 1 - offset) // stride + 1)
-    if hi <= lo:
-        return slice(0, 0), slice(0, 0)
-    return slice(lo * stride + offset, (hi - 1) * stride + offset + 1, stride), slice(lo, hi)
-
-
-def _taps(kh: int, kw: int, pad: int, stride: int, out_hw, in_hw):
-    """Where each kernel tap (i, j) lands: yields i, j, the input (rows, cols)
-    slices it reads and the output (rows, cols) slices it reads them for.
-    A tap that lands nowhere in the input is left out."""
-    (out_h, out_w), (h, w) = out_hw, in_hw
-    for i in range(kh):
-        rows, tap_rows = _tap(i - pad, stride, out_h, h)
-        for j in range(kw):
-            cols, tap_cols = _tap(j - pad, stride, out_w, w)
-            if tap_rows.start < tap_rows.stop and tap_cols.start < tap_cols.stop:
-                yield i, j, (rows, cols), (tap_rows, tap_cols)
+def _inside(d: int, n: int) -> tuple[int, int]:
+    """The output range [lo, hi) along an axis of n positions where a
+    stride-1 tap at offset d reads inside the input; empty when |d| >= n."""
+    return max(0, -d), min(n, n - d)
 
 
 def _shifted_taps(kh: int, kw: int, pad: int, n: int, h: int, w: int):
-    """The landing taps of a stride-1 same-size conv as shifts along the
-    flattened N*H*W block: yields i, j and slices ``out`` and ``inp``, tap
-    position o reading input o + shift. Where that wraps into another row
-    or plane, :func:`_clear_outside` writes over it."""
+    """The taps of a stride-1 same-size conv that land in the input, as
+    shifts along the flattened N*H*W block: yields i, j and slices ``out``
+    and ``inp``, tap position o reading input o + shift. Where that wraps
+    into another row or plane, :func:`_clear_outside` writes over it."""
     size = n * h * w
-    for i, j, _, _ in _taps(kh, kw, pad, 1, (h, w), (h, w)):
-        shift = (i - pad) * w + j - pad
-        yield i, j, slice(max(-shift, 0), size - max(shift, 0)), slice(max(shift, 0), size + min(shift, 0))
+    for i in range(kh):
+        top, bottom = _inside(i - pad, h)
+        for j in range(kw):
+            left, right = _inside(j - pad, w)
+            if top < bottom and left < right:
+                shift = (i - pad) * w + j - pad
+                yield i, j, slice(max(-shift, 0), size - max(shift, 0)), slice(max(shift, 0), size + min(shift, 0))
 
 
 def _clear_outside(columns: np.ndarray, pad: int, value: float) -> None:
@@ -455,13 +436,13 @@ def _clear_outside(columns: np.ndarray, pad: int, value: float) -> None:
     row, then one per tap column."""
     _, kh, kw, _, h, w = columns.shape
     for i in range(kh):
-        _, rows = _tap(i - pad, 1, h, h)
-        columns[:, i, :, :, : rows.start] = value
-        columns[:, i, :, :, rows.stop :] = value
+        lo, hi = _inside(i - pad, h)
+        columns[:, i, :, :, :lo] = value
+        columns[:, i, :, :, max(hi, lo) :] = value
     for j in range(kw):
-        _, cols = _tap(j - pad, 1, w, w)
-        columns[:, :, j, :, :, : cols.start] = value
-        columns[:, :, j, :, :, cols.stop :] = value
+        lo, hi = _inside(j - pad, w)
+        columns[:, :, j, :, :, :lo] = value
+        columns[:, :, j, :, :, max(hi, lo) :] = value
 
 
 def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
@@ -489,7 +470,7 @@ def _col2im_same(g_cols: np.ndarray, pad: int) -> np.ndarray:
     A tap's values whose input position falls outside their own row or
     plane are set to -0.0 first. x + (-0.0) has the bits of x for every
     float x, so each element sums the same terms in the same order as the
-    per-tap slices of :func:`_col2im`. Overwrites ``g_cols``.
+    padded buffer of :func:`_col2im`. Overwrites ``g_cols``.
     """
     cin, kh, kw, n, h, w = g_cols.shape
     _clear_outside(g_cols, pad, -0.0)
@@ -502,26 +483,29 @@ def _col2im_same(g_cols: np.ndarray, pad: int) -> np.ndarray:
 
 def _im2col(x: np.ndarray, kh: int, kw: int, pad: int, stride: int) -> np.ndarray:
     """The (Cin*kh*kw, N*oh*ow) column matrix of a (Cin,N,H,W) input at any
-    stride and zero padding: one slice copy per tap of the output positions
-    that land inside the input, zeros elsewhere."""
+    stride and zero padding: the input is zero-padded once, then each tap
+    copies one strided window of the padded buffer."""
     cin, n, h, w = x.shape
     out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
-    columns = np.zeros((cin, kh, kw, n, out_h, out_w), dtype=x.dtype)
-    for i, j, (rows, cols), (tap_rows, tap_cols) in _taps(kh, kw, pad, stride, (out_h, out_w), (h, w)):
-        columns[:, i, j, :, tap_rows, tap_cols] = x[:, :, rows, cols]
+    padded = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad : pad + h, pad : pad + w] = x
+    columns = np.empty((cin, kh, kw, n, out_h, out_w), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            columns[:, i, j] = padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride]
     return columns.reshape(cin * kh * kw, n * out_h * out_w)
 
 
 def _col2im(g_cols: np.ndarray, pad: int, stride: int, in_hw) -> np.ndarray:
-    """col2im at any stride and padding, straight into the unpadded
-    (Cin,N,H,W) input gradient: each tap adds only the output positions
-    that land inside the input, in the same order as through a zero-padded
-    buffer."""
-    cin, kh, kw, n, out_h, out_w = g_cols.shape
-    g_x = np.zeros((cin, n, *in_hw), dtype=np.float32)
-    for i, j, (rows, cols), (tap_rows, tap_cols) in _taps(kh, kw, pad, stride, (out_h, out_w), in_hw):
-        g_x[:, :, rows, cols] += g_cols[:, i, j, :, tap_rows, tap_cols]
-    return g_x
+    """col2im at any stride and padding: each tap adds its (Cin,N,oh,ow)
+    column gradients into one strided window of a zero-padded buffer, which
+    is then cropped to the (Cin,N,H,W) input gradient."""
+    (cin, kh, kw, n, out_h, out_w), (h, w) = g_cols.shape, in_hw
+    g_padded = np.zeros((cin, n, h + 2 * pad, w + 2 * pad), dtype=np.float32)
+    for i in range(kh):
+        for j in range(kw):
+            g_padded[:, :, i : i + stride * out_h : stride, j : j + stride * out_w : stride] += g_cols[:, i, j]
+    return g_padded[:, :, pad : pad + h, pad : pad + w]
 
 
 def maxpool2x2(x: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +164,46 @@ class TestConfigFile:
         assert "unknown config key [DEFAULT]" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("out_dir", [" x", "y ", "\tx", "x\x85", "a\nb", "a\rb", "a\r\nb", "a\n"])
+    def test_out_dir_a_manifest_cannot_hold_is_refused(self, capsys, monkeypatch, tmp_path, out_dir):
+        # INI strips a value's outer whitespace and reads a line break as a
+        # continuation, so the manifest would not re-parse to this out_dir
+        with pytest.raises(ValueError, match="out_dir"):
+            RunConfig(out_dir=out_dir)
+        monkeypatch.chdir(tmp_path)
+        assert run("gen-data", "--out", out_dir) == 1
+        assert "out_dir" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out_dir", ["a\tb", "a\x85b", "a;b", ";a", "a#b", "#a", "a\x00b", ""])
+    def test_out_dir_round_trips(self, tmp_path, out_dir):
+        cfg = RunConfig(out_dir=out_dir)
+        write_manifest(cfg, tmp_path / "manifest.cfg")
+        assert parse_config_file(str(tmp_path / "manifest.cfg")) == cfg
+
+    @pytest.mark.parametrize(
+        "text, flags, named",
+        [
+            ("", ["--seed", "-1"], "seed must be >= 0, got -1"),
+            ("[dataset]\nseed = -1\n", [], "seed must be >= 0, got -1"),
+            ("[model]\nseed = -1\n", [], "seed must be >= 0, got -1"),
+            ("[train]\nseed = -1\n", [], "seed must be >= 0, got -1"),
+            ("[model]\nhead_width = 0\n", [], "head_width must be >= 1"),
+            ("[dataset]\nimage_size = 60\n", [], "image size 60x60 must be divisible by 8"),
+            ("[model]\nhead_width = 0\n[dataset]\nimage_size = 60\n", [], "head_width must be >= 1"),
+        ],
+        ids=["seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both"],
+    )
+    def test_invalid_setting_is_usage_error_before_any_work(self, capsys, tmp_path, text, flags, named):
+        # refused when the configuration is built, not when train reads it
+        path = tmp_path / "run.cfg"
+        path.write_text(text)
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", str(path), *flags, "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[dataset]\nnum_clases = 4\n")
@@ -175,6 +216,34 @@ class TestConfigFile:
 
     def test_missing_config_file(self):
         assert run("train", "--config", "/nonexistent/path.cfg") == 1
+
+
+COMMANDS = ("gen-data", "train", "eval", "visualize")
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(tmp_path_factory):
+    """The four commands run one after another on SMALL_CONFIG."""
+    root = tmp_path_factory.mktemp("pipeline")
+    cfg_path = root / "small.cfg"
+    cfg_path.write_text(SMALL_CONFIG)
+    out = root / "run"
+    for command in COMMANDS:
+        assert run(command, "--config", str(cfg_path), "--out", str(out)) == 0
+    return str(cfg_path), out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_written_only_on_success(tmp_path, pipeline_run, command):
+    cfg_path, out = pipeline_run
+    write_manifest(replace(parse_config_file(cfg_path), out_dir=str(out)), tmp_path / "expected.cfg")
+    assert (out / f"manifest_{command}.cfg").read_bytes() == (tmp_path / "expected.cfg").read_bytes()
+    # a 'dataset' file in the way fails every command with a data or I/O error
+    failed = tmp_path / "failed"
+    failed.mkdir()
+    (failed / "dataset").write_text("not a directory\n")
+    assert run(command, "--config", cfg_path, "--out", str(failed)) == 2
+    assert sorted(p.name for p in failed.iterdir()) == ["dataset"]
 
 
 class TestGenData:
