@@ -426,6 +426,12 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         args.func(cfg, out)
         write_manifest(cfg, out / f"manifest_{args.command}.cfg")
+        if args.command in ("eval", "visualize"):
+            try:
+                trained = parse_config_file(out / "manifest_train.cfg").train.guidance_mode
+            except (UsageError, ValueError):
+                trained = "unknown"
+            print(f"guidance mode: {cfg.train.guidance_mode} (manifest_train.cfg: {trained})", file=sys.stderr)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

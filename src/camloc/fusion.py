@@ -58,20 +58,22 @@ def block_average(values: np.ndarray, radius: int) -> np.ndarray:
     two axes; any leading axes are carried along.
 
     Out-of-bounds terms contribute zero and the divisor stays (2r+1)^2
-    even at the borders.
+    even at the borders. Only offsets that reach into the map are summed,
+    so the work stops growing once r passes the map size; a skipped term is
+    a +0.0 added to a float64 sum that starts at +0.0, so the result is
+    the same bit for bit.
     """
     if radius < 0:
         raise ValueError(f"block radius must be >= 0, got {radius}")
     arr = np.asarray(values, dtype=np.float32)
     h, w = arr.shape[-2:]
-    padding = [(0, 0)] * (arr.ndim - 2) + [(radius, radius)] * 2
-    padded = np.pad(arr.astype(np.float64), padding)
+    ry, rx = (min(radius, max(n - 1, 0)) for n in (h, w))
+    padded = np.pad(arr.astype(np.float64), [(0, 0)] * (arr.ndim - 2) + [(ry, ry), (rx, rx)])
     acc = np.zeros(arr.shape, dtype=np.float64)
-    side = 2 * radius + 1
-    for dy in range(side):
-        for dx in range(side):
+    for dy in range(2 * ry + 1):
+        for dx in range(2 * rx + 1):
             acc += padded[..., dy : dy + h, dx : dx + w]
-    return (acc / side**2).astype(np.float32)
+    return (acc / (2 * radius + 1) ** 2).astype(np.float32)
 
 
 def fusion_weights(a_activity: np.ndarray, b_activity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

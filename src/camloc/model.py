@@ -20,16 +20,17 @@ import numpy as np
 from .cam import CamMap, complement, normalize_minmax, threshold_erase
 from .imageio import atomic_write
 
-# not called here any more, but perfbench/tracer.py patches it in this module
+# not called here any more, but perfbench/tracer.py patches them in this module
 from .cam import class_map  # noqa: F401
+from .tensor import maxpool2d  # noqa: F401
 from .tensor import (
     Tensor,
     add,
     backward,
     broadcast_mul_channels,
     conv2d,
+    conv_pool_relu,
     global_avg_pool,
-    maxpool2d,
     no_grad,
     relu,
     sgd_step,
@@ -195,13 +196,15 @@ def backbone_forward(params: ModelParams, image: Tensor) -> Tensor:
     """The conv/pool trunk over a (3,H,W) image or a channel-major (3,N,H,W)
     batch.
 
-    Relu runs after each pool, on a quarter of the elements. Max commutes
-    with the monotone relu, and under the first-max tie rule the gradients
-    are the same as with relu before the pool.
+    Each block is one :func:`conv_pool_relu`, which keeps no conv output for
+    backward; its relu runs after the pool, on a quarter of the elements.
+    Max commutes with the monotone relu, and under the first-max tie rule
+    the gradients are the same as with relu before the pool.
     """
     h = image
     for i in range(params.num_backbone_blocks):
-        h = relu(maxpool2d(_conv_block(params, f"backbone.{i}", h)))
+        weight = params[f"backbone.{i}.weight"]
+        h = conv_pool_relu(h, weight, params[f"backbone.{i}.bias"], weight.shape[2] // 2)
     return h
 
 

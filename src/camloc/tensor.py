@@ -12,13 +12,15 @@ to logits turns (C,N,H,W) into (N,C).
 
 A conv whose output grid is its input grid (every conv of the model)
 builds its im2col columns as one shifted copy per kernel tap of each
-channel's flattened N*H*W block, with no padded buffer, and its col2im as
-the same shifts added back; other convs copy one strided window per tap
-out of a zero-padded input and add the gradients back into a padded buffer.
+channel's flattened N*H*W block, with no padded buffer, and its input
+gradient one kernel row at a time as the same shifts added back; other
+convs copy one strided window per tap out of a zero-padded input and add
+the gradients back into a padded buffer.
 
-A recorded op's backward closure keeps what its gradient needs, such as a
-conv's im2col columns, for as long as the graph lives; under
-:func:`no_grad` no closure is recorded, so an inference pass keeps nothing.
+A recorded op's backward closure keeps only what its gradient reads, such
+as a conv's im2col columns, for as long as the graph lives; a backbone
+block keeps bool window masks, not its conv output (:func:`conv_pool_relu`).
+Under :func:`no_grad` no closure is recorded, so inference keeps nothing.
 """
 
 from __future__ import annotations
@@ -126,9 +128,11 @@ def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
     return out
 
 
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool) -> None:
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float32, order="C")  # a copy: backward fns may share g
+        # a fresh, writable, contiguous float32 gradient is taken over; others are copied
+        owned = fresh and g.dtype == np.float32 and g.flags.c_contiguous and g.flags.writeable
+        t.grad = g if owned else np.array(g, dtype=np.float32, order="C")
     else:
         t.grad += g
 
@@ -138,22 +142,25 @@ def backward(loss: Tensor) -> None:
 
     An intermediate result drops its gradient as soon as its backward
     function has used it, so the gradients of a whole graph are never held
-    at once.
+    at once. A fresh gradient array becomes the parent's ``.grad`` as is;
+    one that another parent already took (``add``'s) is copied.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {list(loss.shape)}")
     if not loss.grad_enabled:
         return
     record = ComputationRecord(loss)
-    _accumulate(loss, np.ones_like(loss.data))
+    _accumulate(loss, np.ones_like(loss.data), True)
     for node in reversed(record.steps):
         if node._backward_fn is None or node.grad is None:
             continue
         grads = node._backward_fn(node.grad)
         node.grad = None
+        given = set()
         for parent, grad in zip(node._parents, grads):
             if parent.grad_enabled and grad is not None:
-                _accumulate(parent, grad)
+                _accumulate(parent, grad, id(grad) not in given)
+                given.add(id(grad))
 
 
 def sgd_step(params, lr: float) -> None:
@@ -256,8 +263,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         g_bias = gmat.sum(axis=1)
         if not input_grad:
             return (None, g_kernel, g_bias)
-        g_cols = (kernel.data.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
-        g_x = _col2im_same(g_cols, pad) if same_size else _col2im(g_cols, pad, stride, (h, w))
+        if same_size:
+            g_x = _input_grad_same(kernel.data, gmat, pad, n, h, w)
+        else:
+            g_cols = (kernel.data.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n, out_h, out_w)
+            g_x = _col2im(g_cols, pad, stride, (h, w))
         return (g_x.reshape(x.shape), g_kernel, g_bias)
 
     return _record(out, (x, kernel, bias), bwd)
@@ -276,19 +286,27 @@ def maxpool2d(x: Tensor) -> Tensor:
     out = Tensor(out_data)
 
     def bwd(g):
-        # one window position at a time, in row-major order: each takes the
-        # gradient where it equals the max and no earlier position did; the
-        # four positions together write every element of g_x
-        g_x = np.empty_like(x.data)
-        taken = np.zeros(out_data.shape, dtype=bool)
-        for dy in (0, 1):
-            for dx in (0, 1):
-                first = (x.data[..., dy::2, dx::2] == out_data) & ~taken
-                g_x[..., dy::2, dx::2] = g * first
-                taken |= first
-        return (g_x,)
+        return (_unpool(g, _first_max_masks(x.data, out_data), x.shape),)
 
     return _record(out, (x,), bwd)
+
+
+def conv_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int) -> Tensor:
+    """relu(maxpool2d(conv2d(x, kernel, bias, pad=pad))), bit for bit, as one
+    op that keeps only what its backward reads: the conv's backward closure,
+    the window masks (none under :func:`no_grad`) and its own output."""
+    conv = conv2d(x, kernel, bias, stride=1, pad=pad)
+    pooled = maxpool2x2(conv.data)
+    out = Tensor(np.maximum(pooled, 0.0))
+    if not conv.grad_enabled:
+        return out
+    masks, conv_bwd, conv_shape, out_data = _first_max_masks(conv.data, pooled), conv._backward_fn, conv.shape, out.data
+
+    def bwd(g):
+        # relu's gradient from the output: out > 0 exactly where pooled > 0
+        return conv_bwd(_unpool(g * (out_data > 0), masks, conv_shape))
+
+    return _record(out, (x, kernel, bias), bwd)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -415,34 +433,36 @@ def _inside(d: int, n: int) -> tuple[int, int]:
     return max(0, -d), min(n, n - d)
 
 
-def _shifted_taps(kh: int, kw: int, pad: int, n: int, h: int, w: int):
-    """The taps of a stride-1 same-size conv that land in the input, as
-    shifts along the flattened N*H*W block: yields i, j and slices ``out``
-    and ``inp``, tap position o reading input o + shift. Where that wraps
-    into another row or plane, :func:`_clear_outside` writes over it."""
+def _row_taps(i: int, kw: int, pad: int, n: int, h: int, w: int):
+    """The taps of kernel row i of a stride-1 same-size conv that land in the
+    input, as shifts along the flattened N*H*W block: yields j and slices
+    ``out`` and ``inp``, tap position o reading input o + shift. Where that
+    wraps into another row or plane, :func:`_clear_outside` writes over it."""
     size = n * h * w
-    for i in range(kh):
-        top, bottom = _inside(i - pad, h)
-        for j in range(kw):
-            left, right = _inside(j - pad, w)
-            if top < bottom and left < right:
-                shift = (i - pad) * w + j - pad
-                yield i, j, slice(max(-shift, 0), size - max(shift, 0)), slice(max(shift, 0), size + min(shift, 0))
+    top, bottom = _inside(i - pad, h)
+    for j in range(kw if top < bottom else 0):
+        left, right = _inside(j - pad, w)
+        if left < right:
+            shift = (i - pad) * w + j - pad
+            yield j, slice(max(-shift, 0), size - max(shift, 0)), slice(max(shift, 0), size + min(shift, 0))
 
 
-def _clear_outside(columns: np.ndarray, pad: int, value: float) -> None:
-    """Write ``value`` wherever a tap of the (Cin,kh,kw,N,H,W) columns of a
-    stride-1 same-size conv reads outside the input: one assignment per tap
-    row, then one per tap column."""
-    _, kh, kw, _, h, w = columns.shape
-    for i in range(kh):
-        lo, hi = _inside(i - pad, h)
-        columns[:, i, :, :, :lo] = value
-        columns[:, i, :, :, max(hi, lo) :] = value
+def _clear_outside(rows: np.ndarray, i: int, pad: int, value: float) -> None:
+    """Write ``value`` wherever a tap of kernel row i reads outside the input,
+    in that row's (Cin,kw,N,H,W) columns of a stride-1 same-size conv: rows
+    above or below it, then per tap columns left or right; none if empty."""
+    _, kw, _, h, w = rows.shape
+    top, bottom = _inside(i - pad, h)
+    if top:
+        rows[..., :top, :] = value
+    if bottom < h:
+        rows[..., max(bottom, top) :, :] = value
     for j in range(kw):
-        lo, hi = _inside(j - pad, w)
-        columns[:, :, j, :, :, :lo] = value
-        columns[:, :, j, :, :, max(hi, lo) :] = value
+        left, right = _inside(j - pad, w)
+        if left:
+            rows[:, j, ..., :left] = value
+        if right < w:
+            rows[:, j, ..., max(right, left) :] = value
 
 
 def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
@@ -455,29 +475,28 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
     if kh == kw == 1:
         return flat
     columns = np.empty((cin, kh, kw, n * h * w), dtype=x.dtype)
-    for i, j, out, inp in _shifted_taps(kh, kw, pad, n, h, w):
-        columns[:, i, j, out] = flat[:, inp]
-    _clear_outside(columns.reshape(cin, kh, kw, n, h, w), pad, 0.0)
+    for i in range(kh):
+        for j, out, inp in _row_taps(i, kw, pad, n, h, w):
+            columns[:, i, j, out] = flat[:, inp]
+        _clear_outside(columns[:, i].reshape(cin, kw, n, h, w), i, pad, 0.0)
     return columns.reshape(cin * kh * kw, n * h * w)
 
 
-def _col2im_same(g_cols: np.ndarray, pad: int) -> np.ndarray:
-    """col2im of a stride-1 conv whose output grid is its input grid: the
-    (Cin,kh,kw,N,H,W) column gradients summed into a (Cin,N,H,W) input
-    gradient with one shifted add per tap over each channel's N*H*W block,
-    whose inner loop runs the whole block instead of one row.
-
-    A tap's values whose input position falls outside their own row or
-    plane are set to -0.0 first. x + (-0.0) has the bits of x for every
-    float x, so each element sums the same terms in the same order as the
-    padded buffer of :func:`_col2im`. Overwrites ``g_cols``.
-    """
-    cin, kh, kw, n, h, w = g_cols.shape
-    _clear_outside(g_cols, pad, -0.0)
-    g_flat = g_cols.reshape(cin, kh, kw, n * h * w)
+def _input_grad_same(kernel: np.ndarray, gmat: np.ndarray, pad: int, n: int, h: int, w: int) -> np.ndarray:
+    """The (Cin,N,H,W) input gradient of a stride-1 same-size conv from its
+    (Cout,N*H*W) output gradient, one kernel row i at a time: the row's
+    column gradients W[:, :, i, :]^T @ gmat, -0.0 where a tap reads outside
+    the input, then one shifted add per tap. x + (-0.0) has the bits of x,
+    so each element sums the same terms in the same order as the padded
+    buffer of :func:`_col2im`."""
+    cout, cin, kh, kw = kernel.shape
     g_x = np.zeros((cin, n * h * w), dtype=np.float32)
-    for i, j, out, inp in _shifted_taps(kh, kw, pad, n, h, w):
-        g_x[:, inp] += g_flat[:, i, j, out]
+    for i in range(kh):
+        rows = kernel[:, :, i].reshape(cout, cin * kw).T @ gmat
+        _clear_outside(rows.reshape(cin, kw, n, h, w), i, pad, -0.0)
+        rows = rows.reshape(cin, kw, n * h * w)
+        for j, out, inp in _row_taps(i, kw, pad, n, h, w):
+            g_x[:, inp] += rows[:, j, out]
     return g_x.reshape(cin, n, h, w)
 
 
@@ -513,3 +532,23 @@ def maxpool2x2(x: np.ndarray) -> np.ndarray:
     of each row pair first, which reads whole rows, then of column pairs."""
     rows = np.maximum(x[..., ::2, :], x[..., 1::2, :])
     return np.maximum(rows[..., ::2], rows[..., 1::2])
+
+
+def _first_max_masks(x: np.ndarray, pooled: np.ndarray) -> dict:
+    """Per 2x2 window position (dy, dx), in row-major order, a bool mask of
+    the pooled grid: where ``x`` equals its window's max and no earlier
+    position did. On ties the pool's gradient goes to the first max."""
+    taken = np.zeros(pooled.shape, dtype=bool)
+    masks = {}
+    for dy, dx in np.ndindex(2, 2):
+        masks[dy, dx] = first = (x[..., dy::2, dx::2] == pooled) & ~taken
+        taken |= first
+    return masks
+
+
+def _unpool(g: np.ndarray, masks: dict, shape) -> np.ndarray:
+    """A 2x2 pool's input gradient: ``g`` routed through its window masks."""
+    g_x = np.empty(shape, dtype=np.float32)
+    for (dy, dx), first in masks.items():
+        g_x[..., dy::2, dx::2] = g * first
+    return g_x

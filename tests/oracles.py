@@ -173,6 +173,21 @@ def block_average_ref(values, radius):
     return out
 
 
+def block_average_every_offset(values, radius):
+    """``fusion.block_average`` as it was before its offsets were bounded by
+    the map size: pad by r, then one float64 slice add for each of the
+    (2r+1)^2 offsets, in row-major order."""
+    arr = np.asarray(values, dtype=np.float32)
+    h, w = arr.shape[-2:]
+    padded = np.pad(arr.astype(np.float64), [(0, 0)] * (arr.ndim - 2) + [(radius, radius)] * 2)
+    acc = np.zeros(arr.shape, dtype=np.float64)
+    side = 2 * radius + 1
+    for dy in range(side):
+        for dx in range(side):
+            acc += padded[..., dy : dy + h, dx : dx + w]
+    return (acc / side**2).astype(np.float32)
+
+
 def l1norm_fusion_ref(score_maps_a, score_maps_b, class_index, radius):
     sa = np.asarray(score_maps_a, dtype=np.float64)
     sb = np.asarray(score_maps_b, dtype=np.float64)

@@ -721,6 +721,30 @@ class TestVisualizeCommand:
         assert "sample 8 out of range: test split has 8 samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "visualize"])
+def test_guidance_mode_line_names_the_trained_mode(capsys, oracle_run, command):
+    # one stderr line after the command's stdout, which stays as it was
+    cfg_path, out = oracle_run
+    code, err = run_quietly(capsys, command, "--config", cfg_path, "--out", str(out))
+    assert code == 0 and err == "guidance mode: ccam (manifest_train.cfg: unknown)\n"
+    cfg = replace(parse_config_file(cfg_path), out_dir=str(out))
+    write_manifest(replace(cfg, train=replace(cfg.train, guidance_mode="threshold")), out / "manifest_train.cfg")
+    capsys.readouterr()
+    assert run(command, "--config", cfg_path, "--out", str(out)) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "guidance mode: ccam (manifest_train.cfg: threshold)\n"
+    if command == "eval":
+        assert [line.partition("=")[0] for line in captured.out.splitlines()] == [
+            "top1_cls_err", "top5_cls_err", "top1_loc_err", "top5_loc_err", "gt_known_loc_acc"
+        ]
+    (out / "manifest_train.cfg").write_text("[train]\nguidance_mode = sideways\n")
+    code, err = run_quietly(capsys, command, "--config", cfg_path, "--out", str(out), "--cam-mode", "threshold")
+    assert code == 0 and err == "guidance mode: threshold (manifest_train.cfg: unknown)\n"
+    (out / "checkpoint.bin").unlink()
+    code, err = run_quietly(capsys, command, "--config", cfg_path, "--out", str(out))
+    assert code == 2 and "guidance mode" not in err
+
+
 def test_runtime_imports_no_scipy():
     # scipy is a test dependency only: the tests' reference labeller uses it
     src = str(Path(__file__).resolve().parents[1] / "src")

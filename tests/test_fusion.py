@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,26 @@ class TestBlockAverage:
             m = rng.uniform(size=(6, 7)).astype(np.float32)
             ref = oracles.block_average_ref(m, radius)
             np.testing.assert_allclose(block_average(m, radius), ref, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(8, 8), (2, 3, 5)])
+    @pytest.mark.parametrize("radius", [0, 1, 7, 8, 20])
+    def test_bit_for_bit_equal_to_every_offset_loop(self, shape, radius):
+        # offsets that miss the map only added +0.0; -0.0 and infinities among
+        # the values keep every bit, radii past the map size included
+        rng = np.random.default_rng(radius)
+        m = rng.normal(size=shape).astype(np.float32)
+        m[rng.uniform(size=shape) < 0.2] = -0.0
+        m.flat[0] = np.inf
+        expected = oracles.block_average_every_offset(m, radius)
+        np.testing.assert_array_equal(block_average(m, radius).view(np.uint32), expected.view(np.uint32))
+
+    def test_huge_radius_is_fast(self):
+        m = np.random.default_rng(0).uniform(size=(20, 8, 8)).astype(np.float32)
+        start = time.perf_counter()
+        out = block_average(m, 10**6)
+        assert time.perf_counter() - start < 1.0
+        expected = m.sum(axis=(1, 2), dtype=np.float64)[:, None, None] / (2 * 10**6 + 1) ** 2
+        np.testing.assert_allclose(out, np.broadcast_to(expected, m.shape), rtol=1e-6)
 
     def test_negative_radius_errors(self):
         with pytest.raises(ValueError, match=">= 0"):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,8 +20,9 @@ from camloc import (
     save_checkpoint,
     train,
 )
+from camloc import model
 from camloc.model import backbone_forward, head_forward, predict_maps
-from camloc.tensor import no_grad
+from camloc.tensor import backward, no_grad
 
 import oracles
 
@@ -352,6 +354,27 @@ class TestTrain:
             TrainConfig(epochs=3, batch_size=4, learning_rate=0.01, seed=2),
         )
         assert len(report.losses) == len(report.acc_a) == len(report.acc_b) == 3
+
+
+def test_training_chunk_graph_fits_its_memory_budget():
+    # tracemalloc counts numpy's buffers: what one default chunk's graph
+    # holds after forward, and the most the backward pass holds at once
+    params = init_model(ModelConfig(num_classes=4))
+    rng = np.random.default_rng(0)
+    images = rng.uniform(size=(model.TRAIN_CHUNK, 3, 64, 64)).astype(np.float32)
+    labels = np.arange(model.TRAIN_CHUNK) % 4
+    tracemalloc.start()
+    try:
+        art = forward(params, images, guide_class=labels)
+        loss = dual_branch_loss(art.logits_a, art.logits_b, labels)
+        after_forward = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(loss)
+        backward_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert after_forward <= 9.5 * 2**20
+    assert backward_peak <= 12.5 * 2**20
 
 
 class TestTrainConfig:

@@ -18,7 +18,7 @@ from camloc import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from camloc.tensor import _im2col, _im2col_same, maxpool2x2, upsample_bilinear
+from camloc.tensor import _im2col, _im2col_same, _record, conv_pool_relu, maxpool2x2, upsample_bilinear
 
 import oracles
 
@@ -257,6 +257,70 @@ class TestMaxpool2d:
             maxpool2d(t(np.zeros((1, 4, 5))))
 
 
+class TestConvPoolRelu:
+    """The fused backbone block against the three ops it replaces."""
+
+    @staticmethod
+    def block_inputs(kind, n, rng):
+        x = rng.normal(size=(4, n, 8, 6)).astype(np.float32)
+        kernel = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
+        bias = rng.normal(size=5).astype(np.float32)
+        g = rng.normal(size=(5, n, 4, 3)).astype(np.float32)
+        if kind == "ties":
+            # small integers tie often and land on 0; channel 0 is constant
+            x, kernel, bias = (np.round(a).astype(np.float32) for a in (x, kernel, bias))
+            kernel[0] = 0.0
+        elif kind == "special":
+            specials = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0], dtype=np.float32)
+            for a, frac in ((x, 0.02), (g, 0.3)):
+                picks = rng.uniform(size=a.shape) < frac
+                a[picks] = rng.choice(specials, size=int(picks.sum()))
+        return x, kernel, bias, g
+
+    @staticmethod
+    def run(op, x, kernel, bias, g):
+        xt, kt, bt = t(x, grad=True), t(kernel, grad=True), t(bias, grad=True)
+        with np.errstate(all="ignore"):  # NaN and infinities among the values
+            out = op(xt, kt, bt)
+            backward(tensor_sum(mul(out, t(g))))
+        return [a.view(np.uint32) for a in (out.data, xt.grad, kt.grad, bt.grad)]
+
+    @pytest.mark.parametrize("kind", ["random", "ties", "special"])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_equals_relu_pool_conv_bit_for_bit(self, kind, n):
+        inputs = self.block_inputs(kind, n, np.random.default_rng(n))
+        fused = self.run(lambda x, k, b: conv_pool_relu(x, k, b, 1), *inputs)
+        chain = self.run(lambda x, k, b: relu(maxpool2d(conv2d(x, k, b, pad=1))), *inputs)
+        for name, got, expected in zip(("out", "g_x", "g_kernel", "g_bias"), fused, chain):
+            np.testing.assert_array_equal(got, expected, err_msg=name)
+
+    def test_repeated_backward_adds_one_gradient_per_call(self):
+        x, kernel, bias, g = self.block_inputs("random", 3, np.random.default_rng(7))
+        xt, kt, bt = t(x, grad=True), t(kernel, grad=True), t(bias, grad=True)
+        loss = tensor_sum(mul(conv_pool_relu(xt, kt, bt, 1), t(g)))
+        backward(loss)
+        once = [a.grad.copy() for a in (xt, kt, bt)]
+        backward(loss)
+        for tensor, first in zip((xt, kt, bt), once):
+            np.testing.assert_array_equal(tensor.grad, 2 * first)
+
+    def test_no_grad_records_nothing_and_keeps_the_output(self):
+        x, kernel, bias, _ = self.block_inputs("ties", 3, np.random.default_rng(8))
+        with no_grad():
+            out = conv_pool_relu(t(x, grad=True), t(kernel, grad=True), t(bias, grad=True), 1)
+        assert out._backward_fn is None and out._parents == ()
+        expected = relu(maxpool2d(conv2d(t(x), t(kernel), t(bias), pad=1))).data
+        np.testing.assert_array_equal(out.data.view(np.uint32), expected.view(np.uint32))
+
+    def test_backward_closure_holds_no_tensor(self):
+        # a closure that held its output Tensor would make a reference cycle
+        # and keep every chunk's graph alive until the cycle collector ran
+        x, kernel, bias, _ = self.block_inputs("random", 1, np.random.default_rng(9))
+        out = conv_pool_relu(t(x, grad=True), t(kernel, grad=True), t(bias, grad=True), 1)
+        cells = [cell.cell_contents for cell in out._backward_fn.__closure__]
+        assert not any(isinstance(c, Tensor) for c in cells)
+
+
 class TestGlobalAvgPool:
     def test_constant_channel(self):
         out = global_avg_pool(t(np.full((3, 4, 4), 2.5)))
@@ -404,6 +468,30 @@ class TestBackward:
         backward(loss)
         np.testing.assert_array_equal(kernel.grad, 2 * once_kernel)
         np.testing.assert_array_equal(x.grad, 2 * once_x)
+
+    def test_handoff_never_aliases(self):
+        # add gives one array to both parents: one takes it, the other a copy
+        x = t([1.0, 2.0], grad=True)
+        backward(tensor_sum(add(x, x)))
+        np.testing.assert_array_equal(x.grad, [2.0, 2.0])
+        a, b = t([1.0, 2.0], grad=True), t([3.0, 4.0], grad=True)
+        backward(tensor_sum(add(a, b)))
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        # global_avg_pool's gradient is a read-only broadcast view: copied
+        x = t(np.ones((2, 3, 4)), grad=True)
+        backward(tensor_sum(global_avg_pool(x)))
+        assert x.grad.flags.writeable and x.grad.flags.c_contiguous
+        x.grad += 1.0
+        np.testing.assert_array_equal(x.grad, np.full((2, 3, 4), np.float32(1 / 12) + 1))
+
+    def test_fresh_gradient_is_taken_over(self):
+        fresh = np.full(2, 3.0, dtype=np.float32)
+        x = t([1.0, 2.0], grad=True)
+        out = _record(Tensor(np.float32(x.data.sum())), (x,), lambda g: (fresh,))
+        backward(out)
+        assert x.grad is fresh
 
     def test_no_grad_disables_recording(self):
         x = t([1.0, 2.0], grad=True)
