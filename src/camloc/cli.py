@@ -174,7 +174,7 @@ def parse_config_file(path) -> RunConfig:
             parser.read_file(handle)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise UsageError(f"malformed config file {path}: {exc}") from exc
 
     settings = {}

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .imageio import atomic_write
 from .metrics import BBox
 
 
@@ -143,8 +144,8 @@ def generate_dataset(
 
 
 def write_annotations(rows, path) -> None:
-    """Write (filename, class_id, BBox) rows as CSV."""
-    with open(path, "w", encoding="ascii") as handle:
+    """Write (filename, class_id, BBox) rows as CSV, atomically."""
+    with atomic_write(path, "w", encoding="ascii") as handle:
         for filename, label, box in rows:
             handle.write(f"{filename},{label},{box.x_min},{box.y_min},{box.x_max},{box.y_max}\n")
 

@@ -29,20 +29,12 @@ def atomic_write(path, mode: str = "wb", encoding: str | None = None):
         raise
 
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(np.asarray(values, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
-
-
 def write_ppm(image: np.ndarray, path) -> None:
     """Write a (3,H,W) float image with values in [0,1] as binary P6."""
     arr = np.asarray(image)
     if arr.ndim != 3 or arr.shape[0] != 3:
         raise ValueError(f"image must be (3,H,W), got shape {arr.shape}")
-    _, h, w = arr.shape
-    raster = _quantize(arr).transpose(1, 2, 0).tobytes()
-    with open(path, "wb") as handle:
-        handle.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        handle.write(raster)
+    _write_pnm(arr.transpose(1, 2, 0), b"P6", path)
 
 
 def write_pgm(heatmap: np.ndarray, path) -> None:
@@ -50,10 +42,16 @@ def write_pgm(heatmap: np.ndarray, path) -> None:
     arr = np.asarray(heatmap)
     if arr.ndim != 2:
         raise ValueError(f"heatmap must be (H,W), got shape {arr.shape}")
-    h, w = arr.shape
+    _write_pnm(arr, b"P5", path)
+
+
+def _write_pnm(pixels: np.ndarray, magic: bytes, path) -> None:
+    """Write (H,W) or (H,W,3) float pixels in [0,1] as 8-bit binary ``magic``."""
+    h, w = pixels.shape[:2]
+    raster = np.clip(np.rint(np.asarray(pixels, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
     with open(path, "wb") as handle:
-        handle.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        handle.write(_quantize(arr).tobytes())
+        handle.write(b"%s\n%d %d\n255\n" % (magic, w, h))
+        handle.write(raster.tobytes())
 
 
 def _parse_header(blob: bytes, expected_magic: bytes, path) -> tuple[int, int, int]:
@@ -96,25 +94,23 @@ def _parse_header(blob: bytes, expected_magic: bytes, path) -> tuple[int, int, i
 
 def read_ppm(path) -> np.ndarray:
     """Read a binary P6 file into a (3,H,W) float32 array in [0,1]."""
-    with open(path, "rb") as handle:
-        blob = handle.read()
-    width, height, start = _parse_header(blob, b"P6", path)
-    expected = 3 * width * height
-    raster = blob[start : start + expected]
-    if len(raster) != expected:
-        raise ValueError(f"{path}: raster truncated ({len(raster)} of {expected} bytes)")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, 3)
-    return (pixels.transpose(2, 0, 1).astype(np.float32)) / np.float32(255.0)
+    return _read_pnm(path, b"P6", 3).transpose(2, 0, 1)
 
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary P5 file into a (H,W) float32 array in [0,1]."""
+    return _read_pnm(path, b"P5", 1)[..., 0]
+
+
+def _read_pnm(path, magic: bytes, channels: int) -> np.ndarray:
+    """Read an 8-bit binary ``magic`` file into a (H,W,channels) float32
+    array in [0,1]."""
     with open(path, "rb") as handle:
         blob = handle.read()
-    width, height, start = _parse_header(blob, b"P5", path)
-    expected = width * height
+    width, height, start = _parse_header(blob, magic, path)
+    expected = channels * width * height
     raster = blob[start : start + expected]
     if len(raster) != expected:
         raise ValueError(f"{path}: raster truncated ({len(raster)} of {expected} bytes)")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width, channels)
     return pixels.astype(np.float32) / np.float32(255.0)

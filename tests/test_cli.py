@@ -209,6 +209,15 @@ class TestConfigFile:
         path.write_text("[dataset]\nnum_clases = 4\n")
         assert run("gen-data", "--config", str(path)) == 1
 
+    def test_config_not_utf8_rejected(self, capsys, tmp_path):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("[dataset]\n# caf\u00e9\nseed = 3\n".encode("latin-1"))
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", str(path), "--out", str(out)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed config file ") and str(path) in err and err.count("\n") == 1
+        assert not out.exists()
+
     def test_invalid_value_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("[train]\nlearning_rate = fast\n")
@@ -593,7 +602,8 @@ class TestMalformedPpm:
         # one, or one that is not plain decimal or too long for int()
         numbers = st.integers(-5, 70000).map(lambda v: str(v).encode())
         python_only = st.sampled_from([b"+64", b"6_4", b"+255", b"25_5", b"9" * 5000])
-        wrong = st.one_of(numbers, header_tokens, python_only)
+        # P5 is the PGM magic that the same reader takes for a one-channel raster
+        wrong = st.one_of(numbers, header_tokens, python_only, st.just(b"P5"))
         fields[index] = data.draw(wrong.filter(lambda b: b != (b"P6", b"64", b"64", b"255")[index]))
         self.run_with(capsys, ppm_run, command, b"%s\n%s %s\n%s\n" % tuple(fields) + raster)
 

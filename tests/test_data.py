@@ -135,12 +135,19 @@ class TestPpmCodec:
         path.write_bytes(b"P6\n2 x\n255\n" + bytes(12))
         with pytest.raises(ValueError, match="malformed"):
             read_ppm(path)
+        path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
+        with pytest.raises(ValueError, match="magic"):
+            read_pgm(path)
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "short.ppm"
         path.write_bytes(b"P6\n4 4\n255\n" + bytes(10))
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match=r"truncated \(10 of 48 bytes\)"):
             read_ppm(path)
+        # the same 10 bytes are short of a 4x4 P5 raster too, by its own count
+        path.write_bytes(b"P5\n4 4\n255\n" + bytes(10))
+        with pytest.raises(ValueError, match=r"truncated \(10 of 16 bytes\)"):
+            read_pgm(path)
 
     def test_comment_in_header(self, tmp_path):
         path = tmp_path / "c.ppm"
@@ -173,6 +180,16 @@ class TestAnnotations:
         path = tmp_path / "ann.csv"
         write_annotations(rows, path)
         assert read_annotations(path) == rows
+
+    def test_failed_write_leaves_existing_file(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        write_annotations([("a.ppm", 1, BBox(0, 0, 4, 4))], path)
+        intact = path.read_bytes()
+        rows = [("b.ppm", 2, BBox(1, 1, 3, 3)), ("c.ppm", 0, None)]
+        with pytest.raises(AttributeError):
+            write_annotations(rows, path)
+        assert path.read_bytes() == intact
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.csv"]
 
     def test_header_line_detected(self, tmp_path):
         path = tmp_path / "ann.csv"

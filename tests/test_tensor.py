@@ -486,12 +486,14 @@ class TestBackward:
         x.grad += 1.0
         np.testing.assert_array_equal(x.grad, np.full((2, 3, 4), np.float32(1 / 12) + 1))
 
-    def test_fresh_gradient_is_taken_over(self):
-        fresh = np.full(2, 3.0, dtype=np.float32)
+    def test_returned_gradient_is_copied(self):
+        returned = np.full(2, 3.0, dtype=np.float32)
         x = t([1.0, 2.0], grad=True)
-        out = _record(Tensor(np.float32(x.data.sum())), (x,), lambda g: (fresh,))
+        out = _record(Tensor(np.float32(x.data.sum())), (x,), lambda g: (returned,))
         backward(out)
-        assert x.grad is fresh
+        assert not np.shares_memory(x.grad, returned)
+        returned[:] = 7.0
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
     def test_no_grad_disables_recording(self):
         x = t([1.0, 2.0], grad=True)
