@@ -1,5 +1,6 @@
 """Binary PPM (P6) and PGM (P5) codecs, 8-bit, dependency-free, and the
-atomic file write that checkpoints, records and manifests go through."""
+atomic file write that checkpoints, records, manifests and annotations go
+through."""
 
 from __future__ import annotations
 

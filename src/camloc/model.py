@@ -28,6 +28,7 @@ from .tensor import (
     add,
     backward,
     broadcast_mul_channels,
+    buffer_workspace,
     conv2d,
     conv_pool_relu,
     global_avg_pool,
@@ -335,8 +336,9 @@ def _train_chunk(params: ModelParams, images: np.ndarray, labels: np.ndarray, co
 
 
 # a diverging run raises NumericError, so numpy's floating-point warnings on
-# the way there are silenced
+# the way there are silenced; each call gets its own buffer workspace
 @np.errstate(all="ignore")
+@buffer_workspace()
 def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> TrainReport:
     """SGD training; guidance follows the ground-truth label.
 
@@ -346,6 +348,10 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
     ``config.seed``, so identical configs reproduce identical runs. A
     non-finite loss, or a parameter left non-finite by the last step,
     raises :class:`NumericError`.
+
+    Each call runs in a new :func:`buffer_workspace`: every chunk after the
+    first builds its im2col columns in the arenas that the chunks before it
+    have freed, and the call drops the arenas on return.
     """
     samples = list(dataset)
     if not samples:

@@ -1,9 +1,12 @@
 """Minimal dense-tensor core with reverse-mode automatic differentiation.
 
 Float32 throughout, numpy-backed, covering exactly the operators the
-two-branch localization model needs. Ops allocate fresh outputs and never
-write to their inputs; gradients accumulate into ``.grad`` across backward
-calls until an optimizer step clears them.
+two-branch localization model needs. Ops never write to their inputs and
+allocate fresh outputs, with one exception: inside a
+:func:`buffer_workspace` (``model.train`` runs in one), a conv builds its
+im2col columns in an arena that no graph, view or caller still reads.
+Gradients accumulate into ``.grad`` across backward calls until an
+optimizer step clears them.
 
 Batches are channel-major: a batch of N feature maps is one (C,N,H,W)
 array, the layout the im2col GEMM of :func:`conv2d` reads and writes, so
@@ -13,9 +16,10 @@ to logits turns (C,N,H,W) into (N,C).
 A conv whose output grid is its input grid (every conv of the model)
 builds its im2col columns as one shifted copy per kernel tap of each
 channel's flattened N*H*W block, with no padded buffer, and its input
-gradient one kernel row at a time as the same shifts added back; other
-convs copy one strided window per tap out of a zero-padded input and add
-the gradients back into a padded buffer.
+gradient one kernel row at a time as the same shifts added back; the
+slices of that walk are computed once per shape (:func:`_tap_plan`).
+Other convs copy one strided window per tap out of a zero-padded input
+and add the gradients back into a padded buffer.
 
 A recorded op's backward closure keeps only what its gradient reads, such
 as a conv's im2col columns, for as long as the graph lives; a backbone
@@ -25,28 +29,79 @@ Under :func:`no_grad` no closure is recorded, so inference keeps nothing.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-_grad_state = threading.local()
+# per thread: whether graphs are recorded, and the active buffer workspace
+_state = threading.local()
 
 
 def grad_tracking_enabled() -> bool:
-    return getattr(_grad_state, "enabled", True)
+    return getattr(_state, "enabled", True)
 
 
 @contextmanager
 def no_grad():
     """Disable graph recording, e.g. for evaluation forward passes."""
     previous = grad_tracking_enabled()
-    _grad_state.enabled = False
+    _state.enabled = False
     try:
         yield
     finally:
-        _grad_state.enabled = previous
+        _state.enabled = previous
+
+
+class Workspace:
+    """Float32 buffers for the im2col columns, as a list of flat arenas that
+    :meth:`take` hands out as views of the size asked for.
+
+    An arena is free when nothing but the list refers to it: every view of
+    it, and every view of a view, keeps a reference to it through ``.base``,
+    so an arena that a live graph or a caller still reads is never handed
+    out again. :meth:`take` picks the smallest free arena that holds the
+    shape. When none is large enough, the largest free one is replaced by a
+    new one of the size asked for, and with none free one more is added. So
+    the list keeps one arena per buffer in use at once, and a smaller
+    chunk fits in the arenas of a larger one.
+    """
+
+    def __init__(self):
+        self.arenas: list[np.ndarray] = []
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        arenas = self.arenas
+        # two references when free: the list's and getrefcount's argument
+        free = [k for k in range(len(arenas)) if sys.getrefcount(arenas[k]) == 2]
+        fits = [k for k in free if arenas[k].size >= size]
+        if fits:
+            best = min(fits, key=lambda k: arenas[k].size)
+        elif free:
+            best = max(free, key=lambda k: arenas[k].size)
+            arenas[best] = np.empty(size, dtype=np.float32)
+        else:
+            best = len(arenas)
+            arenas.append(np.empty(size, dtype=np.float32))
+        return arenas[best][:size].reshape(shape)
+
+
+@contextmanager
+def buffer_workspace():
+    """Within the block, the convs of this thread build their im2col columns
+    in the arenas of one new :class:`Workspace` instead of fresh arrays, so
+    a loop of same-shaped graphs stops allocating them. The block drops the
+    workspace on exit; outside any block, columns are fresh arrays."""
+    previous = getattr(_state, "workspace", None)
+    _state.workspace = Workspace()
+    try:
+        yield _state.workspace
+    finally:
+        _state.workspace = previous
 
 
 class Tensor:
@@ -282,25 +337,26 @@ def maxpool2d(x: Tensor) -> Tensor:
     out = Tensor(out_data)
 
     def bwd(g):
-        return (_unpool(g, _first_max_masks(x.data, out_data), x.shape),)
+        return (_unpool(g, _first_max_masks(x.data, out_data, np.ones(out_data.shape, dtype=bool)), x.shape),)
 
     return _record(out, (x,), bwd)
 
 
 def conv_pool_relu(x: Tensor, kernel: Tensor, bias: Tensor, pad: int) -> Tensor:
     """relu(maxpool2d(conv2d(x, kernel, bias, pad=pad))), bit for bit, as one
-    op that keeps only what its backward reads: the conv's backward closure,
-    the window masks (none under :func:`no_grad`) and its own output."""
+    op that keeps only what its backward reads: the conv's backward closure
+    and the window masks (none under :func:`no_grad`)."""
     conv = conv2d(x, kernel, bias, stride=1, pad=pad)
     pooled = maxpool2x2(conv.data)
     out = Tensor(np.maximum(pooled, 0.0))
     if not conv.grad_enabled:
         return out
-    masks, conv_bwd, conv_shape, out_data = _first_max_masks(conv.data, pooled), conv._backward_fn, conv.shape, out.data
+    # relu passes gradient where pooled > 0, so only those windows get a mask
+    # bit: g * mask is then (g * relu') * mask, bit for bit, signed zeros and NaN included
+    masks, conv_bwd, conv_shape = _first_max_masks(conv.data, pooled, pooled > 0), conv._backward_fn, conv.shape
 
     def bwd(g):
-        # relu's gradient from the output: out > 0 exactly where pooled > 0
-        return conv_bwd(_unpool(g * (out_data > 0), masks, conv_shape))
+        return conv_bwd(_unpool(g, masks, conv_shape))
 
     return _record(out, (x, kernel, bias), bwd)
 
@@ -384,10 +440,12 @@ def bilinear_upsample(m: Tensor, out_h: int, out_w: int) -> Tensor:
     out = Tensor(upsample_bilinear(m.data, out_h, out_w))
 
     def bwd(g):
-        # the map is linear: its Jacobian is the kernel applied to the basis maps
-        basis = np.eye(h * w, dtype=np.float32).reshape(h * w, h, w)
-        jacobian = upsample_bilinear(basis, out_h, out_w).reshape(h * w, out_h * out_w)
-        return ((jacobian @ g.reshape(-1)).reshape(h, w),)
+        # the map is separable, out = Ry @ m @ Rx.T, so its adjoint is
+        # Ry.T @ g @ Rx; each interpolation matrix is the kernel applied to
+        # the basis vectors of one axis
+        ry_t = upsample_bilinear(np.eye(h, dtype=np.float32)[:, :, None], out_h, 1)[:, :, 0]
+        rx_t = upsample_bilinear(np.eye(w, dtype=np.float32)[:, None, :], 1, out_w)[:, 0, :]
+        return (ry_t @ g @ rx_t.T,)
 
     return _record(out, (m,), bwd)
 
@@ -423,76 +481,79 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top[..., x0] * (1 - wx) + top[..., x1] * wx + bottom[..., x0] * (1 - wx) + bottom[..., x1] * wx
 
 
-def _inside(d: int, n: int) -> tuple[int, int]:
-    """The output range [lo, hi) along an axis of n positions where a
-    stride-1 tap at offset d reads inside the input; empty when |d| >= n."""
-    return max(0, -d), min(n, n - d)
-
-
-def _row_taps(i: int, kw: int, pad: int, n: int, h: int, w: int):
-    """The taps of kernel row i of a stride-1 same-size conv that land in the
-    input, as shifts along the flattened N*H*W block: yields j and slices
-    ``out`` and ``inp``, tap position o reading input o + shift. Where that
-    wraps into another row or plane, :func:`_clear_outside` writes over it."""
+@functools.lru_cache(maxsize=64)
+def _tap_plan(k: int, pad: int, n: int, h: int, w: int) -> tuple:
+    """Per kernel row i of a stride-1 same-size k x k conv over (Cin,N,H,W)
+    input, a pair (taps, outside). ``taps`` are the row's taps that land in
+    the input, as shifts along the flattened N*H*W block: (j, out, inp)
+    slices, tap position o reading input o + shift. Where that wraps into
+    another row or plane, ``outside`` covers it: index tuples into the row's
+    (Cin,k,N,H,W) cells that read outside the input (rows above or below,
+    then per tap columns left or right; none if empty). A same-size conv
+    has k = 2*pad + 1, so (k, pad, n, h, w) keys the whole walk."""
     size = n * h * w
-    top, bottom = _inside(i - pad, h)
-    for j in range(kw if top < bottom else 0):
-        left, right = _inside(j - pad, w)
-        if left < right:
-            shift = (i - pad) * w + j - pad
-            yield j, slice(max(-shift, 0), size - max(shift, 0)), slice(max(shift, 0), size + min(shift, 0))
-
-
-def _clear_outside(rows: np.ndarray, i: int, pad: int, value: float) -> None:
-    """Write ``value`` wherever a tap of kernel row i reads outside the input,
-    in that row's (Cin,kw,N,H,W) columns of a stride-1 same-size conv: rows
-    above or below it, then per tap columns left or right; none if empty."""
-    _, kw, _, h, w = rows.shape
-    top, bottom = _inside(i - pad, h)
-    if top:
-        rows[..., :top, :] = value
-    if bottom < h:
-        rows[..., max(bottom, top) :, :] = value
-    for j in range(kw):
-        left, right = _inside(j - pad, w)
-        if left:
-            rows[:, j, ..., :left] = value
-        if right < w:
-            rows[:, j, ..., max(right, left) :] = value
+    plan = []
+    for i in range(k):
+        top, bottom = max(0, pad - i), min(h, h + pad - i)
+        taps, outside = [], []
+        if top:
+            outside.append((..., slice(None, top), slice(None)))
+        if bottom < h:
+            outside.append((..., slice(max(bottom, top), None), slice(None)))
+        for j in range(k):
+            left, right = max(0, pad - j), min(w, w + pad - j)
+            if left:
+                outside.append((slice(None), j, ..., slice(None, left)))
+            if right < w:
+                outside.append((slice(None), j, ..., slice(max(right, left), None)))
+            if top < bottom and left < right:
+                shift = (i - pad) * w + j - pad
+                out, inp = slice(max(-shift, 0), size - max(shift, 0)), slice(max(shift, 0), size + min(shift, 0))
+                taps.append((j, out, inp))
+        plan.append((tuple(taps), tuple(outside)))
+    return tuple(plan)
 
 
 def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
     """The (Cin*kh*kw, N*H*W) column matrix of a stride-1 conv whose output
     grid is its (Cin,N,H,W) input's grid: one shifted copy per tap of each
     channel's N*H*W block, then zeros where a tap reads outside the input;
-    no padded buffer and no transpose. A 1x1 kernel's is the input itself."""
+    no padded buffer and no transpose. A 1x1 kernel's is the input itself.
+    Inside a :func:`buffer_workspace` the columns go into one of its arenas."""
     cin, n, h, w = x.shape
     flat = x.reshape(cin, n * h * w)
     if kh == kw == 1:
         return flat
-    columns = np.empty((cin, kh, kw, n * h * w), dtype=x.dtype)
-    for i in range(kh):
-        for j, out, inp in _row_taps(i, kw, pad, n, h, w):
+    workspace = getattr(_state, "workspace", None)
+    shape = (cin, kh, kw, n * h * w)
+    columns = np.empty(shape, dtype=np.float32) if workspace is None else workspace.take(shape)
+    for i, (taps, outside) in enumerate(_tap_plan(kh, pad, n, h, w)):
+        for j, out, inp in taps:
             columns[:, i, j, out] = flat[:, inp]
-        _clear_outside(columns[:, i].reshape(cin, kw, n, h, w), i, pad, 0.0)
+        cells = columns[:, i].reshape(cin, kw, n, h, w)
+        for index in outside:
+            cells[index] = 0.0
     return columns.reshape(cin * kh * kw, n * h * w)
 
 
 def _input_grad_same(kernel: np.ndarray, gmat: np.ndarray, pad: int, n: int, h: int, w: int) -> np.ndarray:
     """The (Cin,N,H,W) input gradient of a stride-1 same-size conv from its
-    (Cout,N*H*W) output gradient, one kernel row i at a time: the row's
-    column gradients W[:, :, i, :]^T @ gmat, -0.0 where a tap reads outside
+    (Cout,N*H*W) output gradient, one kernel row i at a time in one buffer
+    that each row's GEMM overwrites: the row's column gradients
+    W[:, :, i, :]^T @ gmat, -0.0 where a tap reads outside
     the input, then one shifted add per tap. x + (-0.0) has the bits of x,
     so each element sums the same terms in the same order as the padded
     buffer of :func:`_col2im`."""
     cout, cin, kh, kw = kernel.shape
     g_x = np.zeros((cin, n * h * w), dtype=np.float32)
-    for i in range(kh):
-        rows = kernel[:, :, i].reshape(cout, cin * kw).T @ gmat
-        _clear_outside(rows.reshape(cin, kw, n, h, w), i, pad, -0.0)
-        rows = rows.reshape(cin, kw, n * h * w)
-        for j, out, inp in _row_taps(i, kw, pad, n, h, w):
-            g_x[:, inp] += rows[:, j, out]
+    rows = np.empty((cin * kw, n * h * w), dtype=np.float32)
+    cells, shifted = rows.reshape(cin, kw, n, h, w), rows.reshape(cin, kw, n * h * w)
+    for i, (taps, outside) in enumerate(_tap_plan(kh, pad, n, h, w)):
+        np.matmul(kernel[:, :, i].reshape(cout, cin * kw).T, gmat, out=rows)
+        for index in outside:
+            cells[index] = -0.0
+        for j, out, inp in taps:
+            g_x[:, inp] += shifted[:, j, out]
     return g_x.reshape(cin, n, h, w)
 
 
@@ -530,15 +591,16 @@ def maxpool2x2(x: np.ndarray) -> np.ndarray:
     return np.maximum(rows[..., ::2], rows[..., 1::2])
 
 
-def _first_max_masks(x: np.ndarray, pooled: np.ndarray) -> dict:
+def _first_max_masks(x: np.ndarray, pooled: np.ndarray, free: np.ndarray) -> dict:
     """Per 2x2 window position (dy, dx), in row-major order, a bool mask of
     the pooled grid: where ``x`` equals its window's max and no earlier
-    position did. On ties the pool's gradient goes to the first max."""
-    taken = np.zeros(pooled.shape, dtype=bool)
+    position did, among the windows that ``free`` marks (it is used up). On
+    ties the pool's gradient goes to the first max."""
     masks = {}
     for dy, dx in np.ndindex(2, 2):
-        masks[dy, dx] = first = (x[..., dy::2, dx::2] == pooled) & ~taken
-        taken |= first
+        masks[dy, dx] = first = x[..., dy::2, dx::2] == pooled
+        first &= free
+        free ^= first
     return masks
 
 
@@ -546,5 +608,5 @@ def _unpool(g: np.ndarray, masks: dict, shape) -> np.ndarray:
     """A 2x2 pool's input gradient: ``g`` routed through its window masks."""
     g_x = np.empty(shape, dtype=np.float32)
     for (dy, dx), first in masks.items():
-        g_x[..., dy::2, dx::2] = g * first
+        np.multiply(g, first, out=g_x[..., dy::2, dx::2])
     return g_x

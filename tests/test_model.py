@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from camloc import (
     save_checkpoint,
     train,
 )
-from camloc import model
+from camloc import model, tensor
 from camloc.model import backbone_forward, head_forward, predict_maps
 from camloc.tensor import backward, no_grad
 
@@ -354,6 +355,85 @@ class TestTrain:
             TrainConfig(epochs=3, batch_size=4, learning_rate=0.01, seed=2),
         )
         assert len(report.losses) == len(report.acc_a) == len(report.acc_b) == 3
+
+
+class TestTrainWorkspace:
+    """``train`` runs in a buffer workspace of its own; 30 samples at batch 16
+    give chunks of 4, 4, 4, 4 and then 4, 4, 4, 2."""
+
+    @staticmethod
+    def recorded_workspaces(monkeypatch):
+        made = []
+
+        class Recorded(tensor.Workspace):
+            def __init__(self):
+                super().__init__()
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(tensor, "Workspace", Recorded)
+        return made
+
+    def test_no_new_buffer_after_the_first_batch(self, monkeypatch):
+        made = self.recorded_workspaces(monkeypatch)
+        first, same_as_first = [], []
+        real_step = model.sgd_step
+
+        def step(params, lr):
+            real_step(params, lr)
+            arenas = list(made[-1]().arenas)
+            if not first:
+                first.extend(weakref.ref(arena) for arena in arenas)
+            else:
+                same_as_first.append(len(arenas) == len(first) and all(r() is a for r, a in zip(first, arenas)))
+
+        monkeypatch.setattr(model, "sgd_step", step)
+        train_split, _ = small_dataset(n_train=30)
+        train(init_model(small_config()), train_split, TrainConfig(epochs=2, batch_size=16, seed=4))
+        assert len(made) == 1 and first
+        assert same_as_first == [True, True, True]
+
+    def test_buffers_are_dropped_on_return(self, monkeypatch):
+        made = self.recorded_workspaces(monkeypatch)
+        buffers = []
+
+        def progress(*_):
+            buffers.extend(weakref.ref(arena) for arena in list(made[-1]().arenas))
+
+        train_split, _ = small_dataset(n_train=8)
+        train(init_model(small_config()), train_split, TrainConfig(epochs=1, batch_size=8, seed=4), progress)
+        assert buffers
+        assert all(r() is None for r in buffers)
+        assert made[0]() is None
+
+    def test_equals_a_loop_of_chunks_without_the_workspace(self, tmp_path):
+        train_split, _ = small_dataset(n_train=30)
+        config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, seed=4)
+        initial = init_model(small_config())
+        trained, reference = initial.clone(), initial.clone()
+        report = train(trained, train_split, config)
+
+        # model.train's loop, run chunk by chunk outside any workspace
+        labels = np.array([sample.label for sample in train_split])
+        rng = np.random.default_rng(config.seed)
+        losses = []
+        for _ in range(config.epochs):
+            order = rng.permutation(len(train_split))
+            total = 0.0
+            for start in range(0, len(order), config.batch_size):
+                batch = order[start : start + config.batch_size]
+                for offset in range(0, len(batch), model.TRAIN_CHUNK):
+                    chunk = batch[offset : offset + model.TRAIN_CHUNK]
+                    images = np.stack([train_split[i].image for i in chunk])
+                    total += model._train_chunk(reference, images, labels[chunk], config)[0]
+                for p in reference.trainable():
+                    p.grad *= np.float32(1.0 / len(batch))
+                model.sgd_step(reference.trainable(), config.learning_rate)
+            losses.append(total / len(train_split))
+
+        assert report.losses == losses
+        save_checkpoint(trained, tmp_path / "trained.bin")
+        save_checkpoint(reference, tmp_path / "reference.bin")
+        assert (tmp_path / "trained.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
 
 
 def test_training_chunk_graph_fits_its_memory_budget():

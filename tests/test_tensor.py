@@ -18,7 +18,17 @@ from camloc import (
     softmax_cross_entropy,
     tensor_sum,
 )
-from camloc.tensor import _im2col, _im2col_same, _record, conv_pool_relu, maxpool2x2, upsample_bilinear
+from camloc.tensor import (
+    Workspace,
+    _im2col,
+    _im2col_same,
+    _input_grad_same,
+    _record,
+    buffer_workspace,
+    conv_pool_relu,
+    maxpool2x2,
+    upsample_bilinear,
+)
 
 import oracles
 
@@ -169,6 +179,28 @@ class TestConv2d:
         assert got.shape == expected.shape
         np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32))
 
+    def test_tap_plans_follow_every_shape(self):
+        # one process, shapes alternating in every key of the cached tap plan
+        # (k, n, h, w): a plan made for one shape must never serve another
+        rng = np.random.default_rng(17)
+        shapes = [(3, 2, 5, 4), (5, 2, 5, 4), (3, 3, 5, 4), (3, 2, 4, 5), (7, 1, 2, 3), (1, 2, 5, 4)]
+        for k, n, h, w in shapes + shapes[::-1] + shapes:
+            x = self.special_input(rng, (2, n, h, w))
+            got = _im2col_same(x, k, k, k // 2)
+            expected = oracles.im2col_padded(x, k, k, k // 2, 1)
+            np.testing.assert_array_equal(got.view(np.uint32), expected.view(np.uint32), err_msg=str((k, n, h, w)))
+            kernel = rng.normal(size=(3, 2, k, k)).astype(np.float32)
+            g = rng.normal(size=(n, 3, h, w)).astype(np.float32)
+            g[rng.uniform(size=g.shape) < 0.2] = -0.0
+            with np.errstate(all="ignore"):  # NaN and infinities among the inputs
+                bias = np.zeros(3, dtype=np.float32)
+                _, ref_backward = oracles.conv2d_nchw(x.transpose(1, 0, 2, 3), kernel, bias, 1, k // 2)
+                ref_gx = ref_backward(g)[0]
+            g_x = _input_grad_same(kernel, g.transpose(1, 0, 2, 3).reshape(3, -1), k // 2, n, h, w)
+            np.testing.assert_array_equal(
+                g_x.transpose(1, 0, 2, 3).view(np.uint32), ref_gx.view(np.uint32), err_msg=str((k, n, h, w))
+            )
+
     def test_no_input_gradient_without_grad(self):
         x = t(np.ones((1, 2, 4, 4)))
         k = t(np.ones((1, 1, 3, 3)), grad=True)
@@ -193,6 +225,72 @@ class TestConv2d:
         second = conv2d(x, k, b, pad=1).data
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(x.data, x_before)
+
+
+class TestWorkspace:
+    def test_buffer_read_through_a_view_is_not_handed_out_again(self):
+        workspace = Workspace()
+        first = workspace.take((4, 6))
+        view = first[1:].T  # a view of a view: its base is the arena
+        del first
+        view[...] = 1.0
+        second = workspace.take((4, 6))
+        assert not np.shares_memory(second, view)
+        second[...] = 2.0
+        np.testing.assert_array_equal(view, 1.0)
+        del view, second
+        third = workspace.take((2, 6))  # fits a free arena: no new one
+        assert len(workspace.arenas) == 2
+        assert any(np.shares_memory(third, arena) for arena in workspace.arenas)
+
+    def test_a_free_arena_too_small_is_replaced_not_kept(self):
+        workspace = Workspace()
+        workspace.take((3, 4))  # dropped at once: its arena is free
+        large = workspace.take((5, 4))
+        assert len(workspace.arenas) == 1 and large.shape == (5, 4)
+        assert np.shares_memory(large, workspace.arenas[0])
+
+    def test_columns_come_from_the_active_workspace_only(self):
+        x = np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        assert not np.shares_memory(_im2col_same(x, 3, 3, 1), _im2col_same(x, 3, 3, 1))
+        with buffer_workspace() as workspace:
+            first, held = _im2col_same(x, 3, 3, 1), _im2col_same(x, 3, 3, 1)
+            assert not np.shares_memory(first, held)
+            del first
+            again = _im2col_same(x, 3, 3, 1)  # takes the arena ``first`` had
+            assert len(workspace.arenas) == 2
+            assert not np.shares_memory(again, held)
+        del again, held
+        fresh = _im2col_same(x, 3, 3, 1)  # the block is closed: both arenas are free, but not used
+        assert not any(np.shares_memory(fresh, arena) for arena in workspace.arenas)
+
+    def test_graphs_in_a_workspace_equal_graphs_outside_bit_for_bit(self):
+        # two graphs alive at once, then one of a smaller batch: each conv
+        # keeps its own columns until its graph is freed
+        rng = np.random.default_rng(21)
+        k1 = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
+        k2 = rng.normal(size=(3, 5, 3, 3)).astype(np.float32)
+        inputs = [rng.normal(size=(4, n, 6, 5)).astype(np.float32) for n in (3, 3, 2)]
+
+        def graph(x):
+            leaves = [t(a, grad=True) for a in (x, k1, k2)]
+            hidden = relu(conv2d(leaves[0], leaves[1], t(np.zeros(5)), pad=1))
+            out = conv2d(hidden, leaves[2], t(np.zeros(3)), pad=1)
+            return tensor_sum(mul(out, out)), leaves
+
+        def gradients(loss, leaves):
+            backward(loss)
+            return [a.grad.view(np.uint32) for a in leaves]
+
+        expected = [gradients(*graph(x)) for x in inputs]
+        with buffer_workspace():
+            both = [graph(x) for x in inputs[:2]]
+            got = [gradients(*g) for g in both]
+            del both
+            got.append(gradients(*graph(inputs[2])))
+        for want, have in zip(expected, got):
+            for a, b in zip(want, have):
+                np.testing.assert_array_equal(a, b)
 
 
 class TestRelu:
@@ -428,6 +526,18 @@ class TestBilinearUpsample:
         assert out.shape == shape[:-2] + out_hw
         np.testing.assert_array_equal(out, oracles.upsample_bilinear_4term_ref(maps, *out_hw))
 
+    @pytest.mark.parametrize("hw, out_hw", [((4, 4), (9, 13)), ((1, 5), (3, 7)), ((6, 1), (6, 4)), ((3, 3), (3, 3))])
+    def test_gradient_equals_dense_jacobian(self, hw, out_hw):
+        # the separable adjoint against the dense Jacobian built from the
+        # h*w basis maps, summed in float64
+        rng = np.random.default_rng(sum(hw + out_hw))
+        m = t(rng.normal(size=hw), grad=True)
+        g = rng.normal(size=out_hw).astype(np.float32)
+        backward(tensor_sum(mul(bilinear_upsample(m, *out_hw), t(g))))
+        basis = np.eye(hw[0] * hw[1], dtype=np.float32).reshape(-1, *hw)
+        jacobian = upsample_bilinear(basis, *out_hw).reshape(len(basis), -1).astype(np.float64)
+        np.testing.assert_allclose(m.grad, (jacobian @ g.reshape(-1)).reshape(hw), rtol=1e-5, atol=1e-6)
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self):
@@ -470,7 +580,7 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, 2 * once_x)
 
     def test_handoff_never_aliases(self):
-        # add gives one array to both parents: one takes it, the other a copy
+        # add gives one array to both parents: each parent gets its own copy
         x = t([1.0, 2.0], grad=True)
         backward(tensor_sum(add(x, x)))
         np.testing.assert_array_equal(x.grad, [2.0, 2.0])
