@@ -75,11 +75,14 @@ class RunConfig:
         if self.out_dir != self.out_dir.strip() or "\n" in self.out_dir or "\r" in self.out_dir:
             raise ValueError(f"out_dir {self.out_dir!r} has outer whitespace or a line break")
         self.model_config()  # a model the dataset cannot feed is refused here
+        divisor = 2 ** len(self.backbone_channels)
+        h, w = self.dataset.image_size
+        if h % divisor or w % divisor:
+            raise ValueError(f"image size {h}x{w} must be divisible by {divisor} (one 2x2 pool per backbone block)")
 
     def model_config(self) -> ModelConfig:
         return ModelConfig(
             num_classes=self.dataset.num_classes,
-            input_size=self.dataset.image_size,
             backbone_channels=self.backbone_channels,
             head_width=self.head_width,
             seed=self.model_seed,
@@ -349,10 +352,10 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     sample = _read_sample(cfg, directory, rows[cfg.sample_index])
     height, width = sample.image.shape[1:]
 
-    score_a, score_b, logits_a, logits_b = predict_maps(
+    score_a, score_b, ranking = predict_maps(
         params, sample.image[None], cfg.train.guidance_mode, cfg.train.erase_threshold
     )
-    predicted = int(np.argmax((logits_a[0] + logits_b[0]) / 2))
+    predicted = int(ranking[0, 0])
     (box,), fused_full = localize(
         score_a, score_b, [0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau, cfg.single_branch
     )

@@ -36,6 +36,8 @@ class DatasetConfig:
         self.body_size = tuple(self.body_size)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if min(self.image_size) < 1:
+            raise ValueError(f"image_size must be >= 1, got {self.image_size}")
         if self.train_samples < 1 or self.test_samples < 1:
             raise ValueError("both splits need at least one sample")
         if self.seed < 0:

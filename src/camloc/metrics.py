@@ -226,10 +226,8 @@ def evaluate(
     for start in range(0, len(samples), EVAL_CHUNK):
         chunk = samples[start : start + EVAL_CHUNK]
         images = np.stack([sample.image for sample in chunk])
-        score_a, score_b, logits_a, logits_b = predict_maps(params, images, cam_mode, erase_threshold)
-        mean_logits = (logits_a + logits_b) / 2
-        ranking = np.argsort(-mean_logits, axis=1, kind="stable")[:, :5]
-        preds = [[int(c) for c in row] for row in ranking]
+        score_a, score_b, ranking = predict_maps(params, images, cam_mode, erase_threshold)
+        preds = ranking[:, :5].tolist()
         candidates = [p if sample.label in p else p + [sample.label] for p, sample in zip(preds, chunk)]
         owners = np.repeat(np.arange(len(chunk)), [len(c) for c in candidates])
         boxes, _ = localize(

@@ -58,13 +58,11 @@ class CheckpointError(Exception):
 @dataclass
 class ModelConfig:
     num_classes: int
-    input_size: tuple[int, int] = (64, 64)
     backbone_channels: tuple[int, ...] = (16, 32, 64)
     head_width: int = 64
     seed: int = 7
 
     def __post_init__(self):
-        self.input_size = tuple(self.input_size)
         self.backbone_channels = tuple(self.backbone_channels)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
@@ -74,10 +72,6 @@ class ModelConfig:
             raise ValueError(f"head_width must be >= 1, got {self.head_width}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        divisor = 2 ** len(self.backbone_channels)
-        h, w = self.input_size
-        if h % divisor or w % divisor:
-            raise ValueError(f"image size {h}x{w} must be divisible by {divisor} (one 2x2 pool per backbone block)")
 
 
 @dataclass
@@ -132,7 +126,6 @@ class ModelParams:
 
 @dataclass
 class ForwardArtifacts:
-    features: Tensor
     score_maps_a: Tensor
     score_maps_b: Tensor
     logits_a: Tensor
@@ -243,9 +236,9 @@ def forward(
     fixed mask, for diagnostics and ablations.
 
     A stack runs channel-major: it is transposed to (3,N,H,W) once on entry.
-    Every artifact comes back with the leading batch axis: features and
-    score maps are (N,K,h,w) copies outside the graph, logits are (N,C),
-    ``guidance`` is (N,h,w) and ``guide_class`` an (N,) array.
+    Every artifact comes back with the leading batch axis: score maps are
+    (N,C,h,w) copies outside the graph, logits are (N,C), ``guidance`` is
+    (N,h,w) and ``guide_class`` an (N,) array.
     """
     if mode not in GUIDANCE_MODES:
         raise ValueError(f"unknown guidance mode '{mode}'; valid: {', '.join(GUIDANCE_MODES)}")
@@ -287,7 +280,6 @@ def forward(
         return Tensor(t.data.transpose(1, 0, 2, 3)) if stacked else t
 
     return ForwardArtifacts(
-        features=batch_major(features),
         score_maps_a=batch_major(score_maps_a),
         score_maps_b=batch_major(score_maps_b),
         logits_a=logits_a,
@@ -300,10 +292,12 @@ def forward(
 def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", erase_threshold: float = 0.6):
     """Graph-free inference pass over a stacked (N,3,H,W) float32 batch.
 
-    Returns branch A's and branch B's score maps (N,C,h,w) and logits (N,C)
-    of :func:`forward` under ``no_grad``, guided by branch A's top-1 class
-    per sample. Non-finite maps raise :class:`NumericError`, so numpy's
-    floating-point warnings on the way there are silenced.
+    Returns branch A's and branch B's score maps (N,C,h,w) of
+    :func:`forward` under ``no_grad``, guided by branch A's top-1 class per
+    sample, and the (N,C) class ranking: each sample's classes by the mean
+    of the two branches' logits, highest first, a tie to the lower class.
+    Non-finite maps raise :class:`NumericError`, so numpy's floating-point
+    warnings on the way there are silenced.
     """
     with no_grad(), np.errstate(all="ignore"):
         art = forward(params, np.asarray(images, dtype=np.float32), None, mode, erase_threshold)
@@ -312,7 +306,7 @@ def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", er
     for branch, scores, logits in (("branch_a", scores_a, logits_a), ("branch_b", scores_b, logits_b)):
         if not (np.isfinite(scores).all() and np.isfinite(logits).all()):
             raise NumericError(f"non-finite {branch} score maps at inference")
-    return scores_a, scores_b, logits_a, logits_b
+    return scores_a, scores_b, np.argsort(-((logits_a + logits_b) / 2), axis=1, kind="stable")
 
 
 def dual_branch_loss(logits_a: Tensor, logits_b: Tensor, label) -> Tensor:

@@ -330,9 +330,6 @@ def maxpool2d(x: Tensor) -> Tensor:
     order on ties."""
     if x.ndim not in (3, 4):
         raise ValueError(f"maxpool2d expects (C,H,W) or (C,N,H,W), got {x.shape}")
-    h, w = x.shape[-2:]
-    if h % 2 or w % 2:
-        raise ValueError(f"maxpool2d requires even spatial dims, got {h}x{w}")
     out_data = maxpool2x2(x.data)
     out = Tensor(out_data)
 
@@ -587,6 +584,9 @@ def _col2im(g_cols: np.ndarray, pad: int, stride: int, in_hw) -> np.ndarray:
 def maxpool2x2(x: np.ndarray) -> np.ndarray:
     """2x2 max pooling with stride 2 over the last two (even) axes: the max
     of each row pair first, which reads whole rows, then of column pairs."""
+    h, w = x.shape[-2:]
+    if h % 2 or w % 2:
+        raise ValueError(f"2x2 max pooling requires even spatial dims, got {h}x{w}")
     rows = np.maximum(x[..., ::2, :], x[..., 1::2, :])
     return np.maximum(rows[..., ::2], rows[..., 1::2])
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from camloc import cli, load_checkpoint, read_pgm, read_ppm, save_checkpoint, write_ppm
 from camloc.cli import RunConfig, main, parse_config_file, write_manifest
+from camloc.metrics import evaluate, localize
 from camloc.model import NumericError
 
 import oracles
@@ -156,6 +158,20 @@ class TestConfigFile:
         write_manifest(RunConfig(), tmp_path / "manifest.cfg")
         assert (tmp_path / "manifest.cfg").read_text(encoding="utf-8") == block
 
+    def test_readme_flag_table_matches_the_cli(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| flag | overrides |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for line in table.splitlines():
+            flag, overrides = line.strip("|").split("|")
+            dest = re.fullmatch(r" `--([a-z-]+)( \w+)?` ", flag)[1].replace("-", "_")
+            documented[dest] = set(re.findall(r"`\[(\w+)\] (\w+)`", overrides))
+        key_of = {target: key for key, (target, _, _) in cli._SCHEMA.items()}
+        assert documented == {dest: {key_of[path] for path in paths} for dest, paths in cli._FLAG_PATHS.items()}
+        # every flag but --config overrides keys, and the table names them all
+        parsed = vars(cli._build_parser().parse_args(["gen-data"]))
+        assert set(parsed) - {"command", "func", "config"} == set(documented)
+
     @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 0\n", "[DEFAULT]\nseed = 3\n\n[dataset]\nnum_classes = 4\n"])
     def test_default_section_key_rejected(self, capsys, tmp_path, text):
         path = tmp_path / "bad.cfg"
@@ -191,8 +207,13 @@ class TestConfigFile:
             ("[model]\nhead_width = 0\n", [], "head_width must be >= 1"),
             ("[dataset]\nimage_size = 60\n", [], "image size 60x60 must be divisible by 8"),
             ("[model]\nhead_width = 0\n[dataset]\nimage_size = 60\n", [], "head_width must be >= 1"),
+            ("[dataset]\nimage_size = 0\n", [], "image_size must be >= 1, got (0, 0)"),
+            ("[dataset]\nimage_size = -8\n", [], "image_size must be >= 1, got (-8, -8)"),
         ],
-        ids=["seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both"],
+        ids=[
+            "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both",
+            "image-size-zero", "image-size-negative",
+        ],
     )
     def test_invalid_setting_is_usage_error_before_any_work(self, capsys, tmp_path, text, flags, named):
         # refused when the configuration is built, not when train reads it
@@ -729,6 +750,40 @@ class TestVisualizeCommand:
         assert run("visualize", "--config", cfg_path, "--out", str(out), "--sample", "8") == 2
         assert reads == []
         assert "sample 8 out of range: test split has 8 samples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags", [["--strategy", "l1norm", "--bbox-tau", "0.35"], ["--single-branch", "--cam-mode", "threshold"]],
+    ids=["l1norm", "single-branch"],
+)
+def test_visualize_boxes_what_evaluate_boxes(monkeypatch, oracle_run, flags):
+    cfg_path, out = oracle_run
+    # class k scores (1 + k) * objectness - 0.06 * k in both branches, so the
+    # mean logit ranks class 3 first on bright objects and class 0 on faint ones
+    params = oracles.objectness_params()
+    for branch in ("branch_a", "branch_b"):
+        params[f"{branch}.score.weight"].data[:, 0, 0, 0] = 1 + np.arange(4)
+        params[f"{branch}.score.bias"].data[:] = -0.06 * np.arange(4)
+    save_checkpoint(params, out / "checkpoint.bin")
+    argv = ["--config", cfg_path, *flags, "--out", str(out)]
+    cfg = cli._build_config(cli._build_parser().parse_args(["eval", *argv]))
+    _, records = evaluate(
+        params, cli._load_split(cfg, "test"), cfg.fusion, cfg.bbox_tau,
+        cfg.train.guidance_mode, cfg.train.erase_threshold, cfg.single_branch,
+    )
+
+    asked = []
+
+    def recording_localize(*args):
+        boxes, full = localize(*args)
+        asked.append((list(args[3]), boxes))
+        return boxes, full
+
+    monkeypatch.setattr(cli, "localize", recording_localize)
+    for k in range(len(records)):
+        assert run("visualize", *argv, "--sample", str(k)) == 0
+    assert asked == [([r.predicted[0]], [r.boxes[0]]) for r in records]
+    assert {r.predicted[0] for r in records} == {0, 3}
 
 
 @pytest.mark.parametrize("command", ["eval", "visualize"])

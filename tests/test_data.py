@@ -37,6 +37,10 @@ class TestDatasetConfig:
         with pytest.raises(ValueError, match="head_size"):
             DatasetConfig(head_size=(12, 8))
 
+    def test_image_size_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"image_size must be >= 1, got \(64, 0\)"):
+            DatasetConfig(image_size=(64, 0))
+
     def test_noise_amplitude_range(self):
         with pytest.raises(ValueError, match="noise_amplitude"):
             DatasetConfig(noise_amplitude=1.0)

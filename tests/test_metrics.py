@@ -375,7 +375,7 @@ class TestEvaluateMatchesPerSample:
             seed=4, head_size=(5, 6), body_size=(9, 12),
         )
         samples = generate_dataset(dataset)[1]
-        params = init_model(ModelConfig(7, input_size=(32, 32), backbone_channels=(8, 8, 8), head_width=8, seed=2))
+        params = init_model(ModelConfig(7, backbone_channels=(8, 8, 8), head_width=8, seed=2))
         config = FusionConfig(strategy)
         report, records = evaluate(params, samples, config, tau=0.3, cam_mode=mode, single_branch=single)
         assert records == evaluate_per_sample(params, samples, config, 0.3, mode, single)

@@ -30,7 +30,7 @@ import oracles
 
 def small_config(**overrides):
     defaults = dict(
-        num_classes=4, input_size=(32, 32), backbone_channels=(8, 8, 8), head_width=8, seed=3
+        num_classes=4, backbone_channels=(8, 8, 8), head_width=8, seed=3
     )
     defaults.update(overrides)
     return ModelConfig(**defaults)
@@ -47,17 +47,12 @@ def small_dataset(n_train=8, n_test=4, classes=4):
 class TestModelConfig:
     def test_defaults(self):
         config = ModelConfig(num_classes=4)
-        assert config.input_size == (64, 64)
         assert config.backbone_channels == (16, 32, 64)
         assert config.head_width == 64
 
     def test_too_few_classes(self):
         with pytest.raises(ValueError, match="num_classes"):
             ModelConfig(num_classes=1)
-
-    def test_indivisible_input(self):
-        with pytest.raises(ValueError, match="divisible"):
-            ModelConfig(num_classes=4, input_size=(60, 64))
 
 
 class TestInitModel:
@@ -100,6 +95,12 @@ class TestForward:
         assert art.score_maps_b.shape == (4, 8, 8)
         assert art.logits_a.shape == (4,)
         assert art.guidance.values.shape == (8, 8)
+
+    def test_indivisible_input(self):
+        # 60x64 pools to 30x32, then 15x16, which the third block cannot halve
+        params = init_model(ModelConfig(num_classes=4))
+        with pytest.raises(ValueError, match="even spatial dims, got 15x16"):
+            forward(params, np.zeros((3, 60, 64), np.float32))
 
     def test_constant_score_maps_give_all_ones_guidance(self):
         # zero image + zero biases -> constant (zero) score maps; the
@@ -184,7 +185,7 @@ class TestForward:
             one = forward(params, image, guide_class=labels[i], mode=mode)
             assert art.guide_class[i] == one.guide_class
             np.testing.assert_array_equal(art.guidance.values[i], one.guidance.values)
-            for field in ("features", "score_maps_a", "score_maps_b", "logits_a", "logits_b"):
+            for field in ("score_maps_a", "score_maps_b", "logits_a", "logits_b"):
                 np.testing.assert_array_equal(getattr(art, field).data[i], getattr(one, field).data, err_msg=field)
 
     def test_stack_needs_one_guide_class_per_image(self):
@@ -210,16 +211,23 @@ class TestPredictMaps:
     def test_equals_forward_bit_for_bit(self, mode):
         params, samples = self.trained()
         images = np.stack([s.image for s in samples])  # N=7: more than one evaluate chunk
-        score_a, score_b, logits_a, logits_b = predict_maps(params, images, mode)
+        score_a, score_b, ranking = predict_maps(params, images, mode)
         assert score_a.shape == score_b.shape == (7, 4, 4, 4)
-        assert logits_a.shape == logits_b.shape == (7, 4)
+        assert ranking.shape == (7, 4)
         with no_grad():
             for i, sample in enumerate(samples):
                 art = forward(params, sample.image, guide_class=None, mode=mode)
                 np.testing.assert_array_equal(score_a[i], art.score_maps_a.data)
                 np.testing.assert_array_equal(score_b[i], art.score_maps_b.data)
-                np.testing.assert_array_equal(logits_a[i], art.logits_a.data)
-                np.testing.assert_array_equal(logits_b[i], art.logits_b.data)
+                mean_logits = (art.logits_a.data + art.logits_b.data) / 2
+                np.testing.assert_array_equal(ranking[i], np.argsort(-mean_logits, kind="stable"))
+
+    def test_tied_classes_rank_lowest_first(self):
+        # the objectness oracle copies one channel into every class map, so
+        # every sample's classes tie; the first maximum ranks first, as argmax picks it
+        _, samples = small_dataset(n_test=3)
+        _, _, ranking = predict_maps(oracles.objectness_params(), np.stack([s.image for s in samples]))
+        np.testing.assert_array_equal(ranking, np.tile(np.arange(4), (3, 1)))
 
     def test_non_finite_weight_raises_numeric_error(self):
         params = init_model(small_config())
