@@ -343,9 +343,10 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
     non-finite loss, or a parameter left non-finite by the last step,
     raises :class:`NumericError`.
 
-    Each call runs in a new :func:`buffer_workspace`: every chunk after the
-    first builds its im2col columns in the arenas that the chunks before it
-    have freed, and the call drops the arenas on return.
+    Each call runs in a new :func:`buffer_workspace`. No chunk's graph
+    holds im2col columns, so the call keeps one arena, of the largest
+    column shape: every conv's columns and column gradients, forward and
+    backward, are built in it, and the call drops it on return.
     """
     samples = list(dataset)
     if not samples:

@@ -4,7 +4,8 @@ Float32 throughout, numpy-backed, covering exactly the operators the
 two-branch localization model needs. Ops never write to their inputs and
 allocate fresh outputs, with one exception: inside a
 :func:`buffer_workspace` (``model.train`` runs in one), a conv builds its
-im2col columns in an arena that no graph, view or caller still reads.
+im2col columns and their gradients in an arena that no graph, view or
+caller still reads.
 Gradients accumulate into ``.grad`` across backward calls until an
 optimizer step clears them.
 
@@ -16,14 +17,16 @@ to logits turns (C,N,H,W) into (N,C).
 A conv whose output grid is its input grid (every conv of the model)
 builds its im2col columns as one shifted copy per kernel tap of each
 channel's flattened N*H*W block, with no padded buffer, and its input
-gradient one kernel row at a time as the same shifts added back; the
-slices of that walk are computed once per shape (:func:`_tap_plan`).
+gradient from one GEMM's column gradients as the same shifts added back;
+the slices of that walk are computed once per shape (:func:`_tap_plan`).
 Other convs copy one strided window per tap out of a zero-padded input
 and add the gradients back into a padded buffer.
 
-A recorded op's backward closure keeps only what its gradient reads, such
-as a conv's im2col columns, for as long as the graph lives; a backbone
-block keeps bool window masks, not its conv output (:func:`conv_pool_relu`).
+A recorded op's backward closure keeps only what its gradient reads, for
+as long as the graph lives. A conv keeps its input, which the graph holds
+anyway, not its im2col columns (9x the input for a 3x3 kernel): backward
+builds them again. A backbone block keeps bool window masks, not its conv
+output (:func:`conv_pool_relu`).
 Under :func:`no_grad` no closure is recorded, so inference keeps nothing.
 """
 
@@ -57,8 +60,8 @@ def no_grad():
 
 
 class Workspace:
-    """Float32 buffers for the im2col columns, as a list of flat arenas that
-    :meth:`take` hands out as views of the size asked for.
+    """Float32 buffers for the im2col columns and their gradients, as a list
+    of flat arenas that :meth:`take` hands out as views of the size asked for.
 
     An arena is free when nothing but the list refers to it: every view of
     it, and every view of a view, keeps a reference to it through ``.base``,
@@ -67,7 +70,9 @@ class Workspace:
     shape. When none is large enough, the largest free one is replaced by a
     new one of the size asked for, and with none free one more is added. So
     the list keeps one arena per buffer in use at once, and a smaller
-    chunk fits in the arenas of a larger one.
+    chunk fits in the arenas of a larger one. Convs drop their columns and
+    column gradients before they return, so a training loop needs only
+    one arena, of the largest column shape.
     """
 
     def __init__(self):
@@ -93,9 +98,10 @@ class Workspace:
 @contextmanager
 def buffer_workspace():
     """Within the block, the convs of this thread build their im2col columns
-    in the arenas of one new :class:`Workspace` instead of fresh arrays, so
-    a loop of same-shaped graphs stops allocating them. The block drops the
-    workspace on exit; outside any block, columns are fresh arrays."""
+    and column gradients in the arenas of one new :class:`Workspace` instead
+    of fresh arrays, so a loop of same-shaped graphs stops allocating them.
+    The block drops the workspace on exit; outside any block, they are
+    fresh arrays."""
     previous = getattr(_state, "workspace", None)
     _state.workspace = Workspace()
     try:
@@ -271,11 +277,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     A (Cin,H,W) input is the N=1 case and gives a (Cout,oh,ow) output. Zero
     padding; output spatial size (H + 2*pad - kh)//stride + 1.
 
-    One im2col GEMM covers the batch. The im2col columns are built once:
-    the backward pass computes the kernel gradient from the forward's
-    columns, which the graph keeps until it is freed. Under :func:`no_grad`
-    no backward pass is recorded, so nothing keeps them. No input gradient
-    is computed for an input that takes none.
+    One im2col GEMM covers the batch. The forward's columns are dropped on
+    return: the backward pass builds them again from the input, which the
+    graph holds as a parent, computes the kernel gradient and drops them
+    before it forms the input gradient. So a recorded conv keeps no columns,
+    and at most one column-sized buffer is in use at a time. No input
+    gradient is computed for an input that takes none.
     """
     if x.ndim not in (3, 4) or kernel.ndim != 4 or bias.ndim != 1:
         raise ValueError(
@@ -301,16 +308,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
     # the model's convs: sent through the padded _im2col/_col2im, train measured 15-18% slower
     same_size = stride == 1 and (out_h, out_w) == (h, w)
-    columns = _im2col_same(batch, kh, kw, pad) if same_size else _im2col(batch, kh, kw, pad, stride)
+
+    def im2col():
+        return _im2col_same(batch, kh, kw, pad) if same_size else _im2col(batch, kh, kw, pad, stride)
+
     # the GEMM output is already the contiguous (Cout,N,oh,ow) result
-    out_data = (kernel.data.reshape(cout, -1) @ columns).reshape(cout, n, out_h, out_w)
+    out_data = (kernel.data.reshape(cout, -1) @ im2col()).reshape(cout, n, out_h, out_w)
     out_data += bias.data[:, None, None, None]
     out = Tensor(out_data.reshape(cout, *x.shape[1:-2], out_h, out_w))
     input_grad = x.grad_enabled
 
     def bwd(g):
         gmat = g.reshape(cout, -1)
-        g_kernel = (columns @ gmat.T).T.reshape(kernel.shape)
+        # columns built again from the input, which the graph holds anyway;
+        # they are dropped before the input gradient takes a buffer
+        g_kernel = (im2col() @ gmat.T).T.reshape(kernel.shape)
         g_bias = gmat.sum(axis=1)
         if not input_grad:
             return (None, g_kernel, g_bias)
@@ -478,6 +490,13 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top[..., x0] * (1 - wx) + top[..., x1] * wx + bottom[..., x0] * (1 - wx) + bottom[..., x1] * wx
 
 
+def _buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float32 array: a view of an arena of the active
+    :func:`buffer_workspace`, or a fresh array outside one."""
+    workspace = getattr(_state, "workspace", None)
+    return np.empty(shape, dtype=np.float32) if workspace is None else workspace.take(shape)
+
+
 @functools.lru_cache(maxsize=64)
 def _tap_plan(k: int, pad: int, n: int, h: int, w: int) -> tuple:
     """Per kernel row i of a stride-1 same-size k x k conv over (Cin,N,H,W)
@@ -521,9 +540,7 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
     flat = x.reshape(cin, n * h * w)
     if kh == kw == 1:
         return flat
-    workspace = getattr(_state, "workspace", None)
-    shape = (cin, kh, kw, n * h * w)
-    columns = np.empty(shape, dtype=np.float32) if workspace is None else workspace.take(shape)
+    columns = _buffer((cin, kh, kw, n * h * w))
     for i, (taps, outside) in enumerate(_tap_plan(kh, pad, n, h, w)):
         for j, out, inp in taps:
             columns[:, i, j, out] = flat[:, inp]
@@ -535,22 +552,22 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
 
 def _input_grad_same(kernel: np.ndarray, gmat: np.ndarray, pad: int, n: int, h: int, w: int) -> np.ndarray:
     """The (Cin,N,H,W) input gradient of a stride-1 same-size conv from its
-    (Cout,N*H*W) output gradient, one kernel row i at a time in one buffer
-    that each row's GEMM overwrites: the row's column gradients
-    W[:, :, i, :]^T @ gmat, -0.0 where a tap reads outside
-    the input, then one shifted add per tap. x + (-0.0) has the bits of x,
-    so each element sums the same terms in the same order as the padded
-    buffer of :func:`_col2im`."""
+    (Cout,N*H*W) output gradient: the column gradients W^T @ gmat as one
+    GEMM, in the columns' shape and in a :func:`buffer_workspace` arena
+    inside one; then per kernel row i, -0.0 where a tap reads outside the
+    input and one shifted add per tap. x + (-0.0) has the bits of x, so each
+    element sums the same terms in the same order as the padded buffer of
+    :func:`_col2im`."""
     cout, cin, kh, kw = kernel.shape
     g_x = np.zeros((cin, n * h * w), dtype=np.float32)
-    rows = np.empty((cin * kw, n * h * w), dtype=np.float32)
-    cells, shifted = rows.reshape(cin, kw, n, h, w), rows.reshape(cin, kw, n * h * w)
+    g_cols = _buffer((cin, kh, kw, n * h * w))
+    np.matmul(kernel.reshape(cout, -1).T, gmat, out=g_cols.reshape(cin * kh * kw, n * h * w))
     for i, (taps, outside) in enumerate(_tap_plan(kh, pad, n, h, w)):
-        np.matmul(kernel[:, :, i].reshape(cout, cin * kw).T, gmat, out=rows)
+        cells = g_cols[:, i].reshape(cin, kw, n, h, w)
         for index in outside:
             cells[index] = -0.0
         for j, out, inp in taps:
-            g_x[:, inp] += shifted[:, j, out]
+            g_x[:, inp] += g_cols[:, i, j, out]
     return g_x.reshape(cin, n, h, w)
 
 

@@ -413,6 +413,20 @@ class TestTrainWorkspace:
         assert all(r() is None for r in buffers)
         assert made[0]() is None
 
+    def test_one_arena_serves_every_conv(self, monkeypatch):
+        # no graph holds columns, so one arena of the largest column shape
+        # serves every conv's columns and column gradients
+        made = self.recorded_workspaces(monkeypatch)
+        held = []
+
+        def progress(*_):
+            held.append([arena.size for arena in made[-1]().arenas])
+
+        train_split, _ = small_dataset(n_train=30)
+        train(init_model(small_config()), train_split, TrainConfig(epochs=2, batch_size=16, seed=4), progress)
+        # the first block's columns are the largest: 3 channels x 3 x 3 taps x a chunk of 32 x 32 images
+        assert held == [[27 * model.TRAIN_CHUNK * 32 * 32]] * 2
+
     def test_equals_a_loop_of_chunks_without_the_workspace(self, tmp_path):
         train_split, _ = small_dataset(n_train=30)
         config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, seed=4)
@@ -461,8 +475,8 @@ def test_training_chunk_graph_fits_its_memory_budget():
         backward_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert after_forward <= 9.5 * 2**20
-    assert backward_peak <= 12.5 * 2**20
+    assert after_forward <= 2.5 * 2**20
+    assert backward_peak <= 6.5 * 2**20
 
 
 class TestTrainConfig:

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -209,7 +211,7 @@ class TestConv2d:
         assert k.grad is not None
 
     def test_no_backward_recorded_under_no_grad(self):
-        # the backward closure holds the im2col columns: inference keeps none
+        # the backward closure holds the conv's input: inference keeps nothing
         x = t(np.ones((2, 3, 5, 5)), grad=True)
         with no_grad():
             out = conv2d(x, t(np.ones((4, 2, 3, 3)), grad=True), t(np.zeros(4), grad=True), pad=1)
@@ -266,7 +268,7 @@ class TestWorkspace:
 
     def test_graphs_in_a_workspace_equal_graphs_outside_bit_for_bit(self):
         # two graphs alive at once, then one of a smaller batch: each conv
-        # keeps its own columns until its graph is freed
+        # builds its columns again in backward, in whichever arena is free
         rng = np.random.default_rng(21)
         k1 = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
         k2 = rng.normal(size=(3, 5, 3, 3)).astype(np.float32)
@@ -291,6 +293,50 @@ class TestWorkspace:
         for want, have in zip(expected, got):
             for a, b in zip(want, have):
                 np.testing.assert_array_equal(a, b)
+
+
+    def test_backward_rebuilds_columns_that_another_conv_overwrote(self):
+        # a recorded graph holds no arena: one unrelated conv between forward
+        # and backward overwrites the only one, and the gradients keep their bits
+        rng = np.random.default_rng(23)
+        x, k1, k2 = (rng.normal(size=shape).astype(np.float32) for shape in ((4, 3, 6, 5), (5, 4, 3, 3), (3, 5, 3, 3)))
+
+        def graph():
+            leaves = [t(a, grad=True) for a in (x, k1, k2)]
+            hidden = relu(conv2d(leaves[0], leaves[1], t(np.zeros(5)), pad=1))
+            out = conv2d(hidden, leaves[2], t(np.zeros(3)), pad=1)
+            return tensor_sum(mul(out, out)), leaves
+
+        loss, leaves = graph()
+        backward(loss)
+        expected = [a.grad.view(np.uint32) for a in leaves]
+        with buffer_workspace() as workspace:
+            loss, leaves = graph()
+            # free, as take() counts it: only the list and getrefcount's argument refer to it
+            refs = [sys.getrefcount(workspace.arenas[k]) for k in range(len(workspace.arenas))]
+            assert refs == [2]
+            other = rng.normal(size=(5, 3, 6, 5)).astype(np.float32)
+            conv2d(t(other), t(rng.normal(size=(2, 5, 3, 3)).astype(np.float32)), t(np.zeros(2)), pad=1)
+            overwritten = workspace.arenas[0][: other.size * 9].reshape(45, -1)
+            np.testing.assert_array_equal(overwritten, oracles.im2col_padded(other, 3, 3, 1, 1))
+            del overwritten
+            backward(loss)
+            assert len(workspace.arenas) == 1
+        for want, leaf in zip(expected, leaves):
+            np.testing.assert_array_equal(leaf.grad.view(np.uint32), want)
+
+    def test_input_gradient_in_a_workspace_equals_the_oracle(self):
+        rng = np.random.default_rng(29)
+        x = rng.normal(size=(2, 4, 5, 6)).astype(np.float32)
+        kernel = rng.normal(size=(3, 4, 3, 3)).astype(np.float32)
+        g = rng.normal(size=(2, 3, 5, 6)).astype(np.float32)
+        g[rng.uniform(size=g.shape) < 0.2] = -0.0
+        _, ref_backward = oracles.conv2d_nchw(x, kernel, np.zeros(3, dtype=np.float32), 1, 1)
+        with buffer_workspace() as workspace:
+            workspace.take((4 * 9, 2 * 5 * 6))[...] = np.nan  # a used arena: stale values must not leak
+            g_x = _input_grad_same(kernel, g.transpose(1, 0, 2, 3).reshape(3, -1), 1, 2, 5, 6)
+            assert len(workspace.arenas) == 1 and not np.isnan(workspace.arenas[0]).any()  # the GEMM went there
+        np.testing.assert_array_equal(g_x.transpose(1, 0, 2, 3).view(np.uint32), ref_backward(g)[0].view(np.uint32))
 
 
 class TestRelu:
