@@ -24,9 +24,8 @@ from .tensor import upsample_bilinear
 from .model import forward  # noqa: F401
 from .tensor import bilinear_upsample  # noqa: F401
 
-# samples per forward and localization pass in ``evaluate``: with one
-# localization pass per chunk, 8 ran faster than 4 with no rise in the peak
-# resident set
+# samples per localization pass in ``evaluate``: 8 ran faster than 4;
+# predict_maps runs its forward on model.TRAIN_CHUNK samples at a time
 EVAL_CHUNK = 8
 
 

@@ -298,11 +298,18 @@ def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", er
     of the two branches' logits, highest first, a tie to the lower class.
     Non-finite maps raise :class:`NumericError`, so numpy's floating-point
     warnings on the way there are silenced.
+
+    ``forward`` runs on at most ``TRAIN_CHUNK`` samples at a time, so the
+    im2col columns of inference are never larger than those of training.
+    Every sample's result is the same bits at any split.
     """
+    images = np.asarray(images, dtype=np.float32)
+    parts = []
     with no_grad(), np.errstate(all="ignore"):
-        art = forward(params, np.asarray(images, dtype=np.float32), None, mode, erase_threshold)
-    scores_a, scores_b = art.score_maps_a.data, art.score_maps_b.data
-    logits_a, logits_b = art.logits_a.data, art.logits_b.data
+        for start in range(0, len(images), TRAIN_CHUNK):
+            art = forward(params, images[start : start + TRAIN_CHUNK], None, mode, erase_threshold)
+            parts.append((art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data))
+    scores_a, scores_b, logits_a, logits_b = (np.concatenate(arrays) for arrays in zip(*parts))
     for branch, scores, logits in (("branch_a", scores_a, logits_a), ("branch_b", scores_b, logits_b)):
         if not (np.isfinite(scores).all() and np.isfinite(logits).all()):
             raise NumericError(f"non-finite {branch} score maps at inference")

@@ -222,6 +222,18 @@ class TestPredictMaps:
                 mean_logits = (art.logits_a.data + art.logits_b.data) / 2
                 np.testing.assert_array_equal(ranking[i], np.argsort(-mean_logits, kind="stable"))
 
+    def test_forward_runs_at_most_a_training_chunk(self, monkeypatch):
+        params, samples = self.trained()
+        sizes = []
+
+        def recording_forward(params, images, *args):
+            sizes.append(len(images))
+            return forward(params, images, *args)
+
+        monkeypatch.setattr(model, "forward", recording_forward)
+        predict_maps(params, np.stack([s.image for s in samples]))
+        assert sizes == [model.TRAIN_CHUNK, 7 - model.TRAIN_CHUNK]
+
     def test_tied_classes_rank_lowest_first(self):
         # the objectness oracle copies one channel into every class map, so
         # every sample's classes tie; the first maximum ranks first, as argmax picks it
