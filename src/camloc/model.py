@@ -28,7 +28,6 @@ from .tensor import (
     add,
     backward,
     broadcast_mul_channels,
-    buffer_workspace,
     conv2d,
     conv_pool_relu,
     global_avg_pool,
@@ -243,8 +242,8 @@ def forward(
     if mode not in GUIDANCE_MODES:
         raise ValueError(f"unknown guidance mode '{mode}'; valid: {', '.join(GUIDANCE_MODES)}")
     x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.ndim not in (3, 4):
-        raise ValueError(f"image must be (3,H,W) or (N,3,H,W), got shape {x.shape}")
+    if x.ndim not in (3, 4) or (x.ndim == 4 and not len(x.data)):
+        raise ValueError(f"image must be (3,H,W) or an (N,3,H,W) stack with N >= 1, got shape {x.shape}")
     stacked = x.ndim == 4
     if stacked:
         x = Tensor(x.data.transpose(1, 0, 2, 3))
@@ -304,6 +303,8 @@ def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", er
     Every sample's result is the same bits at any split.
     """
     images = np.asarray(images, dtype=np.float32)
+    if images.ndim != 4 or not len(images):
+        raise ValueError(f"expected an (N,3,H,W) stack with N >= 1, got shape {images.shape}")
     parts = []
     with no_grad(), np.errstate(all="ignore"):
         for start in range(0, len(images), TRAIN_CHUNK):
@@ -337,9 +338,8 @@ def _train_chunk(params: ModelParams, images: np.ndarray, labels: np.ndarray, co
 
 
 # a diverging run raises NumericError, so numpy's floating-point warnings on
-# the way there are silenced; each call gets its own buffer workspace
+# the way there are silenced
 @np.errstate(all="ignore")
-@buffer_workspace()
 def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> TrainReport:
     """SGD training; guidance follows the ground-truth label.
 
@@ -350,10 +350,9 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
     non-finite loss, or a parameter left non-finite by the last step,
     raises :class:`NumericError`.
 
-    Each call runs in a new :func:`buffer_workspace`. No chunk's graph
-    holds im2col columns, so the call keeps one arena, of the largest
-    column shape: every conv's columns and column gradients, forward and
-    backward, are built in it, and the call drops it on return.
+    No chunk's graph holds im2col columns: each conv allocates its columns
+    and column gradients fresh and drops them before it returns, so at most
+    one column-sized array is alive at a time.
     """
     samples = list(dataset)
     if not samples:

@@ -2,10 +2,7 @@
 
 Float32 throughout, numpy-backed, covering exactly the operators the
 two-branch localization model needs. Ops never write to their inputs and
-allocate fresh outputs, with one exception: inside a
-:func:`buffer_workspace` (``model.train`` runs in one), a conv builds its
-im2col columns and their gradients in an arena that no graph, view or
-caller still reads.
+always allocate fresh outputs.
 Gradients accumulate into ``.grad`` across backward calls until an
 optimizer step clears them.
 
@@ -34,13 +31,12 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 import threading
 from contextlib import contextmanager
 
 import numpy as np
 
-# per thread: whether graphs are recorded, and the active buffer workspace
+# per thread: whether graphs are recorded
 _state = threading.local()
 
 
@@ -57,57 +53,6 @@ def no_grad():
         yield
     finally:
         _state.enabled = previous
-
-
-class Workspace:
-    """Float32 buffers for the im2col columns and their gradients, as a list
-    of flat arenas that :meth:`take` hands out as views of the size asked for.
-
-    An arena is free when nothing but the list refers to it: every view of
-    it, and every view of a view, keeps a reference to it through ``.base``,
-    so an arena that a live graph or a caller still reads is never handed
-    out again. :meth:`take` picks the smallest free arena that holds the
-    shape. When none is large enough, the largest free one is replaced by a
-    new one of the size asked for, and with none free one more is added. So
-    the list keeps one arena per buffer in use at once, and a smaller
-    chunk fits in the arenas of a larger one. Convs drop their columns and
-    column gradients before they return, so a training loop needs only
-    one arena, of the largest column shape.
-    """
-
-    def __init__(self):
-        self.arenas: list[np.ndarray] = []
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        size = math.prod(shape)
-        arenas = self.arenas
-        # two references when free: the list's and getrefcount's argument
-        free = [k for k in range(len(arenas)) if sys.getrefcount(arenas[k]) == 2]
-        fits = [k for k in free if arenas[k].size >= size]
-        if fits:
-            best = min(fits, key=lambda k: arenas[k].size)
-        elif free:
-            best = max(free, key=lambda k: arenas[k].size)
-            arenas[best] = np.empty(size, dtype=np.float32)
-        else:
-            best = len(arenas)
-            arenas.append(np.empty(size, dtype=np.float32))
-        return arenas[best][:size].reshape(shape)
-
-
-@contextmanager
-def buffer_workspace():
-    """Within the block, the convs of this thread build their im2col columns
-    and column gradients in the arenas of one new :class:`Workspace` instead
-    of fresh arrays, so a loop of same-shaped graphs stops allocating them.
-    The block drops the workspace on exit; outside any block, they are
-    fresh arrays."""
-    previous = getattr(_state, "workspace", None)
-    _state.workspace = Workspace()
-    try:
-        yield _state.workspace
-    finally:
-        _state.workspace = previous
 
 
 class Tensor:
@@ -321,7 +266,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     def bwd(g):
         gmat = g.reshape(cout, -1)
         # columns built again from the input, which the graph holds anyway;
-        # they are dropped before the input gradient takes a buffer
+        # they are dropped before the column gradients are formed
         g_kernel = (im2col() @ gmat.T).T.reshape(kernel.shape)
         g_bias = gmat.sum(axis=1)
         if not input_grad:
@@ -490,13 +435,6 @@ def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     return top[..., x0] * (1 - wx) + top[..., x1] * wx + bottom[..., x0] * (1 - wx) + bottom[..., x1] * wx
 
 
-def _buffer(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float32 array: a view of an arena of the active
-    :func:`buffer_workspace`, or a fresh array outside one."""
-    workspace = getattr(_state, "workspace", None)
-    return np.empty(shape, dtype=np.float32) if workspace is None else workspace.take(shape)
-
-
 @functools.lru_cache(maxsize=64)
 def _tap_plan(k: int, pad: int, n: int, h: int, w: int) -> tuple:
     """Per kernel row i of a stride-1 same-size k x k conv over (Cin,N,H,W)
@@ -534,13 +472,12 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
     """The (Cin*kh*kw, N*H*W) column matrix of a stride-1 conv whose output
     grid is its (Cin,N,H,W) input's grid: one shifted copy per tap of each
     channel's N*H*W block, then zeros where a tap reads outside the input;
-    no padded buffer and no transpose. A 1x1 kernel's is the input itself.
-    Inside a :func:`buffer_workspace` the columns go into one of its arenas."""
+    no padded buffer and no transpose. A 1x1 kernel's is the input itself."""
     cin, n, h, w = x.shape
     flat = x.reshape(cin, n * h * w)
     if kh == kw == 1:
         return flat
-    columns = _buffer((cin, kh, kw, n * h * w))
+    columns = np.empty((cin, kh, kw, n * h * w), dtype=np.float32)
     for i, (taps, outside) in enumerate(_tap_plan(kh, pad, n, h, w)):
         for j, out, inp in taps:
             columns[:, i, j, out] = flat[:, inp]
@@ -553,15 +490,13 @@ def _im2col_same(x: np.ndarray, kh: int, kw: int, pad: int) -> np.ndarray:
 def _input_grad_same(kernel: np.ndarray, gmat: np.ndarray, pad: int, n: int, h: int, w: int) -> np.ndarray:
     """The (Cin,N,H,W) input gradient of a stride-1 same-size conv from its
     (Cout,N*H*W) output gradient: the column gradients W^T @ gmat as one
-    GEMM, in the columns' shape and in a :func:`buffer_workspace` arena
-    inside one; then per kernel row i, -0.0 where a tap reads outside the
-    input and one shifted add per tap. x + (-0.0) has the bits of x, so each
-    element sums the same terms in the same order as the padded buffer of
-    :func:`_col2im`."""
+    GEMM, in the columns' shape; then per kernel row i, -0.0 where a tap
+    reads outside the input and one shifted add per tap. x + (-0.0) has the
+    bits of x, so each element sums the same terms in the same order as the
+    padded buffer of :func:`_col2im`."""
     cout, cin, kh, kw = kernel.shape
     g_x = np.zeros((cin, n * h * w), dtype=np.float32)
-    g_cols = _buffer((cin, kh, kw, n * h * w))
-    np.matmul(kernel.reshape(cout, -1).T, gmat, out=g_cols.reshape(cin * kh * kw, n * h * w))
+    g_cols = (kernel.reshape(cout, -1).T @ gmat).reshape(cin, kh, kw, n * h * w)
     for i, (taps, outside) in enumerate(_tap_plan(kh, pad, n, h, w)):
         cells = g_cols[:, i].reshape(cin, kw, n, h, w)
         for index in outside:

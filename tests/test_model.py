@@ -1,7 +1,7 @@
+import re
 import struct
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from camloc import (
     save_checkpoint,
     train,
 )
-from camloc import model, tensor
+from camloc import model
 from camloc.model import backbone_forward, head_forward, predict_maps
 from camloc.tensor import backward, no_grad
 
@@ -252,6 +252,15 @@ class TestPredictMaps:
         with pytest.raises(ValueError, match="guidance mode"):
             predict_maps(params, np.zeros((1, 3, 32, 32), dtype=np.float32), mode="erase")
 
+    @pytest.mark.parametrize(
+        "call, shape",
+        [(predict_maps, (3, 32, 32)), (predict_maps, (0, 3, 32, 32)), (forward, (0, 3, 32, 32))],
+        ids=["predict_one_image", "predict_empty", "forward_empty"],
+    )
+    def test_bad_batch_shapes_are_refused(self, call, shape):
+        with pytest.raises(ValueError, match=re.escape(f"(N,3,H,W) stack with N >= 1, got shape {shape}")):
+            call(init_model(small_config()), np.zeros(shape, dtype=np.float32))
+
 
 class TestDualBranchLoss:
     def test_uniform_logits(self):
@@ -378,66 +387,8 @@ class TestTrain:
 
 
 class TestTrainWorkspace:
-    """``train`` runs in a buffer workspace of its own; 30 samples at batch 16
+    """``train`` equals its chunk loop written out; 30 samples at batch 16
     give chunks of 4, 4, 4, 4 and then 4, 4, 4, 2."""
-
-    @staticmethod
-    def recorded_workspaces(monkeypatch):
-        made = []
-
-        class Recorded(tensor.Workspace):
-            def __init__(self):
-                super().__init__()
-                made.append(weakref.ref(self))
-
-        monkeypatch.setattr(tensor, "Workspace", Recorded)
-        return made
-
-    def test_no_new_buffer_after_the_first_batch(self, monkeypatch):
-        made = self.recorded_workspaces(monkeypatch)
-        first, same_as_first = [], []
-        real_step = model.sgd_step
-
-        def step(params, lr):
-            real_step(params, lr)
-            arenas = list(made[-1]().arenas)
-            if not first:
-                first.extend(weakref.ref(arena) for arena in arenas)
-            else:
-                same_as_first.append(len(arenas) == len(first) and all(r() is a for r, a in zip(first, arenas)))
-
-        monkeypatch.setattr(model, "sgd_step", step)
-        train_split, _ = small_dataset(n_train=30)
-        train(init_model(small_config()), train_split, TrainConfig(epochs=2, batch_size=16, seed=4))
-        assert len(made) == 1 and first
-        assert same_as_first == [True, True, True]
-
-    def test_buffers_are_dropped_on_return(self, monkeypatch):
-        made = self.recorded_workspaces(monkeypatch)
-        buffers = []
-
-        def progress(*_):
-            buffers.extend(weakref.ref(arena) for arena in list(made[-1]().arenas))
-
-        train_split, _ = small_dataset(n_train=8)
-        train(init_model(small_config()), train_split, TrainConfig(epochs=1, batch_size=8, seed=4), progress)
-        assert buffers
-        assert all(r() is None for r in buffers)
-        assert made[0]() is None
-
-    def test_one_arena_serves_every_conv(self, monkeypatch):
-        # no graph holds columns, so one arena of the largest column shape
-        # serves every conv's columns and column gradients
-        made = self.recorded_workspaces(monkeypatch)
-        held = []
-
-        def progress(*_):
-            held.append([arena.size for arena in made[-1]().arenas])
-
-        train_split, _ = small_dataset(n_train=30)
-        train(init_model(small_config()), train_split, TrainConfig(epochs=2, batch_size=16, seed=4), progress)
-        # the first block's columns are the largest: 3 channels x 3 x 3 taps x a chunk of 32 x 32 images
-        assert held == [[27 * model.TRAIN_CHUNK * 32 * 32]] * 2
 
     def test_equals_a_loop_of_chunks_without_the_workspace(self, tmp_path):
         train_split, _ = small_dataset(n_train=30)
@@ -446,7 +397,7 @@ class TestTrainWorkspace:
         trained, reference = initial.clone(), initial.clone()
         report = train(trained, train_split, config)
 
-        # model.train's loop, run chunk by chunk outside any workspace
+        # model.train's loop, written out chunk by chunk
         labels = np.array([sample.label for sample in train_split])
         rng = np.random.default_rng(config.seed)
         losses = []

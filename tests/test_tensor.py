@@ -1,4 +1,3 @@
-import sys
 
 import numpy as np
 import pytest
@@ -21,12 +20,10 @@ from camloc import (
     tensor_sum,
 )
 from camloc.tensor import (
-    Workspace,
     _im2col,
     _im2col_same,
     _input_grad_same,
     _record,
-    buffer_workspace,
     conv_pool_relu,
     maxpool2x2,
     upsample_bilinear,
@@ -227,116 +224,8 @@ class TestConv2d:
         second = conv2d(x, k, b, pad=1).data
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(x.data, x_before)
-
-
-class TestWorkspace:
-    def test_buffer_read_through_a_view_is_not_handed_out_again(self):
-        workspace = Workspace()
-        first = workspace.take((4, 6))
-        view = first[1:].T  # a view of a view: its base is the arena
-        del first
-        view[...] = 1.0
-        second = workspace.take((4, 6))
-        assert not np.shares_memory(second, view)
-        second[...] = 2.0
-        np.testing.assert_array_equal(view, 1.0)
-        del view, second
-        third = workspace.take((2, 6))  # fits a free arena: no new one
-        assert len(workspace.arenas) == 2
-        assert any(np.shares_memory(third, arena) for arena in workspace.arenas)
-
-    def test_a_free_arena_too_small_is_replaced_not_kept(self):
-        workspace = Workspace()
-        workspace.take((3, 4))  # dropped at once: its arena is free
-        large = workspace.take((5, 4))
-        assert len(workspace.arenas) == 1 and large.shape == (5, 4)
-        assert np.shares_memory(large, workspace.arenas[0])
-
-    def test_columns_come_from_the_active_workspace_only(self):
-        x = np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(np.float32)
-        assert not np.shares_memory(_im2col_same(x, 3, 3, 1), _im2col_same(x, 3, 3, 1))
-        with buffer_workspace() as workspace:
-            first, held = _im2col_same(x, 3, 3, 1), _im2col_same(x, 3, 3, 1)
-            assert not np.shares_memory(first, held)
-            del first
-            again = _im2col_same(x, 3, 3, 1)  # takes the arena ``first`` had
-            assert len(workspace.arenas) == 2
-            assert not np.shares_memory(again, held)
-        del again, held
-        fresh = _im2col_same(x, 3, 3, 1)  # the block is closed: both arenas are free, but not used
-        assert not any(np.shares_memory(fresh, arena) for arena in workspace.arenas)
-
-    def test_graphs_in_a_workspace_equal_graphs_outside_bit_for_bit(self):
-        # two graphs alive at once, then one of a smaller batch: each conv
-        # builds its columns again in backward, in whichever arena is free
-        rng = np.random.default_rng(21)
-        k1 = rng.normal(size=(5, 4, 3, 3)).astype(np.float32)
-        k2 = rng.normal(size=(3, 5, 3, 3)).astype(np.float32)
-        inputs = [rng.normal(size=(4, n, 6, 5)).astype(np.float32) for n in (3, 3, 2)]
-
-        def graph(x):
-            leaves = [t(a, grad=True) for a in (x, k1, k2)]
-            hidden = relu(conv2d(leaves[0], leaves[1], t(np.zeros(5)), pad=1))
-            out = conv2d(hidden, leaves[2], t(np.zeros(3)), pad=1)
-            return tensor_sum(mul(out, out)), leaves
-
-        def gradients(loss, leaves):
-            backward(loss)
-            return [a.grad.view(np.uint32) for a in leaves]
-
-        expected = [gradients(*graph(x)) for x in inputs]
-        with buffer_workspace():
-            both = [graph(x) for x in inputs[:2]]
-            got = [gradients(*g) for g in both]
-            del both
-            got.append(gradients(*graph(inputs[2])))
-        for want, have in zip(expected, got):
-            for a, b in zip(want, have):
-                np.testing.assert_array_equal(a, b)
-
-
-    def test_backward_rebuilds_columns_that_another_conv_overwrote(self):
-        # a recorded graph holds no arena: one unrelated conv between forward
-        # and backward overwrites the only one, and the gradients keep their bits
-        rng = np.random.default_rng(23)
-        x, k1, k2 = (rng.normal(size=shape).astype(np.float32) for shape in ((4, 3, 6, 5), (5, 4, 3, 3), (3, 5, 3, 3)))
-
-        def graph():
-            leaves = [t(a, grad=True) for a in (x, k1, k2)]
-            hidden = relu(conv2d(leaves[0], leaves[1], t(np.zeros(5)), pad=1))
-            out = conv2d(hidden, leaves[2], t(np.zeros(3)), pad=1)
-            return tensor_sum(mul(out, out)), leaves
-
-        loss, leaves = graph()
-        backward(loss)
-        expected = [a.grad.view(np.uint32) for a in leaves]
-        with buffer_workspace() as workspace:
-            loss, leaves = graph()
-            # free, as take() counts it: only the list and getrefcount's argument refer to it
-            refs = [sys.getrefcount(workspace.arenas[k]) for k in range(len(workspace.arenas))]
-            assert refs == [2]
-            other = rng.normal(size=(5, 3, 6, 5)).astype(np.float32)
-            conv2d(t(other), t(rng.normal(size=(2, 5, 3, 3)).astype(np.float32)), t(np.zeros(2)), pad=1)
-            overwritten = workspace.arenas[0][: other.size * 9].reshape(45, -1)
-            np.testing.assert_array_equal(overwritten, oracles.im2col_padded(other, 3, 3, 1, 1))
-            del overwritten
-            backward(loss)
-            assert len(workspace.arenas) == 1
-        for want, leaf in zip(expected, leaves):
-            np.testing.assert_array_equal(leaf.grad.view(np.uint32), want)
-
-    def test_input_gradient_in_a_workspace_equals_the_oracle(self):
-        rng = np.random.default_rng(29)
-        x = rng.normal(size=(2, 4, 5, 6)).astype(np.float32)
-        kernel = rng.normal(size=(3, 4, 3, 3)).astype(np.float32)
-        g = rng.normal(size=(2, 3, 5, 6)).astype(np.float32)
-        g[rng.uniform(size=g.shape) < 0.2] = -0.0
-        _, ref_backward = oracles.conv2d_nchw(x, kernel, np.zeros(3, dtype=np.float32), 1, 1)
-        with buffer_workspace() as workspace:
-            workspace.take((4 * 9, 2 * 5 * 6))[...] = np.nan  # a used arena: stale values must not leak
-            g_x = _input_grad_same(kernel, g.transpose(1, 0, 2, 3).reshape(3, -1), 1, 2, 5, 6)
-            assert len(workspace.arenas) == 1 and not np.isnan(workspace.arenas[0]).any()  # the GEMM went there
-        np.testing.assert_array_equal(g_x.transpose(1, 0, 2, 3).view(np.uint32), ref_backward(g)[0].view(np.uint32))
+        batch = np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        assert not np.shares_memory(_im2col_same(batch, 3, 3, 1), _im2col_same(batch, 3, 3, 1))
 
 
 class TestRelu:
