@@ -224,8 +224,22 @@ class TestConv2d:
         second = conv2d(x, k, b, pad=1).data
         np.testing.assert_array_equal(first, second)
         np.testing.assert_array_equal(x.data, x_before)
-        batch = np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(np.float32)
-        assert not np.shares_memory(_im2col_same(batch, 3, 3, 1), _im2col_same(batch, 3, 3, 1))
+
+
+class TestWorkspace:
+    """No buffer workspace pools im2col columns: each call allocates its own."""
+
+    def test_columns_come_from_the_active_workspace_only(self):
+        x = np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(np.float32)
+        first, held = _im2col_same(x, 3, 3, 1), _im2col_same(x, 3, 3, 1)
+        assert not np.shares_memory(first, held)
+        assert not np.shares_memory(first, x)
+        del first
+        again = _im2col_same(x, 3, 3, 1)
+        assert not np.shares_memory(again, held)
+        np.testing.assert_array_equal(again, held)
+        again[...] = np.nan
+        assert not np.isnan(held).any()
 
 
 class TestRelu:
