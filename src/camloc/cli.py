@@ -353,7 +353,7 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     height, width = sample.image.shape[1:]
 
     score_a, score_b, ranking = predict_maps(
-        params, sample.image[None], cfg.train.guidance_mode, cfg.train.erase_threshold
+        params, [sample.image], cfg.train.guidance_mode, cfg.train.erase_threshold
     )
     predicted = int(ranking[0, 0])
     (box,), fused_full = localize(

@@ -1,6 +1,6 @@
 """Binary PPM (P6) and PGM (P5) codecs, 8-bit, dependency-free, and the
-atomic file write that checkpoints, records, manifests and annotations go
-through."""
+atomic file write that images, checkpoints, records, manifests and
+annotations go through."""
 
 from __future__ import annotations
 
@@ -47,10 +47,11 @@ def write_pgm(heatmap: np.ndarray, path) -> None:
 
 
 def _write_pnm(pixels: np.ndarray, magic: bytes, path) -> None:
-    """Write (H,W) or (H,W,3) float pixels in [0,1] as 8-bit binary ``magic``."""
+    """Write (H,W) or (H,W,3) float pixels in [0,1] as 8-bit binary ``magic``,
+    atomically (see :func:`atomic_write`)."""
     h, w = pixels.shape[:2]
     raster = np.clip(np.rint(np.asarray(pixels, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as handle:
+    with atomic_write(path) as handle:
         handle.write(b"%s\n%d %d\n255\n" % (magic, w, h))
         handle.write(raster.tobytes())
 

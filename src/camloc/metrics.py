@@ -24,8 +24,8 @@ from .tensor import upsample_bilinear
 from .model import forward  # noqa: F401
 from .tensor import bilinear_upsample  # noqa: F401
 
-# samples per localization pass in ``evaluate``: 8 ran faster than 4;
-# predict_maps runs its forward on model.TRAIN_CHUNK samples at a time
+# samples per localize pass in ``evaluate``: 8 ran faster than 4. Inference
+# is batched by predict_maps alone, at model.TRAIN_CHUNK samples per forward
 EVAL_CHUNK = 8
 
 
@@ -207,10 +207,11 @@ def evaluate(
     erase_threshold: float = 0.6,
     single_branch: bool = False,
 ) -> tuple[MetricsReport, list[EvalRecord]]:
-    """Run classification + localization evaluation over an annotated dataset,
-    ``EVAL_CHUNK`` samples at a time: one graph-free :func:`predict_maps`
-    pass and one :func:`localize` pass over every candidate class of the
-    chunk (the top 5, plus the ground truth when it is not among them)."""
+    """Run classification + localization evaluation over an annotated dataset:
+    one graph-free :func:`predict_maps` pass over the whole split, then one
+    :func:`localize` pass per ``EVAL_CHUNK`` samples over every candidate
+    class of the window (the top 5, plus the ground truth when it is not
+    among them)."""
     fusion_config = fusion_config or fusion_mod.FusionConfig()
     if not 0.0 < tau < 1.0:
         raise ValueError(f"bbox threshold must lie in (0, 1), got {tau}")
@@ -221,16 +222,18 @@ def evaluate(
         if sample.gt_box is None:
             raise ValueError(f"sample {index:05d} is missing a ground-truth box")
 
+    score_a, score_b, ranking = predict_maps(params, [sample.image for sample in samples], cam_mode, erase_threshold)
+    size = samples[0].image.shape[1:]
     records: list[EvalRecord] = []
     for start in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[start : start + EVAL_CHUNK]
-        images = np.stack([sample.image for sample in chunk])
-        score_a, score_b, ranking = predict_maps(params, images, cam_mode, erase_threshold)
-        preds = ranking[:, :5].tolist()
+        window = slice(start, start + EVAL_CHUNK)
+        chunk = samples[window]
+        preds = ranking[window, :5].tolist()
         candidates = [p if sample.label in p else p + [sample.label] for p, sample in zip(preds, chunk)]
         owners = np.repeat(np.arange(len(chunk)), [len(c) for c in candidates])
         boxes, _ = localize(
-            score_a, score_b, owners, np.concatenate(candidates), fusion_config, images.shape[2:], tau, single_branch
+            score_a[window], score_b[window], owners, np.concatenate(candidates), fusion_config, size, tau,
+            single_branch,
         )
         first = 0
         for offset, (sample, predicted, classes) in enumerate(zip(chunk, preds, candidates)):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cam import CamMap, complement, normalize_minmax, threshold_erase
+from .cam import complement, normalize_minmax, threshold_erase
 from .imageio import atomic_write
 
 # not called here any more, but perfbench/tracer.py patches them in this module
@@ -129,8 +129,6 @@ class ForwardArtifacts:
     score_maps_b: Tensor
     logits_a: Tensor
     logits_b: Tensor
-    guidance: CamMap
-    guide_class: int | np.ndarray
 
 
 @dataclass
@@ -227,69 +225,62 @@ def forward(
     erase_threshold: float = 0.6,
     guidance_override: np.ndarray | None = None,
 ) -> ForwardArtifacts:
-    """Full two-branch forward pass over one (3,H,W) image or an (N,3,H,W) stack.
+    """Full two-branch forward pass over an (N,3,H,W) image stack; a
+    (3,H,W) image is the N=1 stack.
 
-    ``guide_class`` selects which class map drives the guidance: an int for
-    one image, N ints for a stack; None uses branch A's top-1 prediction
+    ``guide_class`` selects which class map drives each sample's guidance:
+    N ints (an int for one image); None uses branch A's top-1 prediction
     (the label-free inference protocol). ``guidance_override`` substitutes a
-    fixed mask, for diagnostics and ablations.
+    fixed (N,h,w) mask, for diagnostics and ablations.
 
-    A stack runs channel-major: it is transposed to (3,N,H,W) once on entry.
-    Every artifact comes back with the leading batch axis: score maps are
-    (N,C,h,w) copies outside the graph, logits are (N,C), ``guidance`` is
-    (N,h,w) and ``guide_class`` an (N,) array.
+    The stack runs channel-major: it is transposed to (3,N,H,W) once on
+    entry. Every artifact comes back with the leading batch axis, a single
+    image included: score maps are (N,C,h,w) copies outside the graph and
+    logits are (N,C).
     """
     if mode not in GUIDANCE_MODES:
         raise ValueError(f"unknown guidance mode '{mode}'; valid: {', '.join(GUIDANCE_MODES)}")
-    x = image if isinstance(image, Tensor) else Tensor(image)
-    if x.ndim not in (3, 4) or (x.ndim == 4 and not len(x.data)):
-        raise ValueError(f"image must be (3,H,W) or an (N,3,H,W) stack with N >= 1, got shape {x.shape}")
-    stacked = x.ndim == 4
-    if stacked:
-        x = Tensor(x.data.transpose(1, 0, 2, 3))
+    images = np.asarray(image, dtype=np.float32)
+    if images.ndim == 3:
+        images = images[None]
+    if images.ndim != 4 or not len(images):
+        raise ValueError(f"image must be (3,H,W) or an (N,3,H,W) stack with N >= 1, got shape {images.shape}")
+    n = len(images)
 
-    features = backbone_forward(params, x)
+    features = backbone_forward(params, Tensor(images.transpose(1, 0, 2, 3)))
     score_maps_a, logits_a = head_forward(params, "branch_a", features)
-    scores_a = score_maps_a.data if stacked else score_maps_a.data[:, None]
-    n = scores_a.shape[1]
 
     if guide_class is None:
-        guides = np.argmax(logits_a.data.reshape(n, -1), axis=1)
+        guides = np.argmax(logits_a.data, axis=1)
     else:
         guides = np.asarray(guide_class).reshape(-1)
         if len(guides) != n:
             raise ValueError(f"{len(guides)} guide classes for {n} images")
         if guides.min() < 0 or guides.max() >= params.num_classes:
             raise IndexError(f"guide class {guide_class} out of range for {params.num_classes} classes")
-
-    if guidance_override is not None:
-        guidance = CamMap(np.asarray(guidance_override, dtype=np.float32), normalized=True)
+    if guidance_override is None:
+        guidance = _guidance_masks(score_maps_a.data, guides, mode, erase_threshold)
     else:
-        masks = _guidance_masks(scores_a, guides, mode, erase_threshold)
-        guidance = CamMap(masks if stacked else masks[0], normalized=True)
+        guidance = guidance_override
 
     # Branch B reads the shared features but does not train them: letting
     # both cross-entropy terms pull on one trunk destabilizes small-scale
     # training (branch B can exploit the label-dependent guidance mask and
     # starve branch A of the features it needs).
-    guided = broadcast_mul_channels(features.detach(), Tensor(guidance.values))
+    guided = broadcast_mul_channels(features.detach(), Tensor(guidance))
     score_maps_b, logits_b = head_forward(params, "branch_b", guided)
-
-    def batch_major(t: Tensor) -> Tensor:
-        return Tensor(t.data.transpose(1, 0, 2, 3)) if stacked else t
-
     return ForwardArtifacts(
-        score_maps_a=batch_major(score_maps_a),
-        score_maps_b=batch_major(score_maps_b),
+        score_maps_a=Tensor(score_maps_a.data.transpose(1, 0, 2, 3)),
+        score_maps_b=Tensor(score_maps_b.data.transpose(1, 0, 2, 3)),
         logits_a=logits_a,
         logits_b=logits_b,
-        guidance=guidance,
-        guide_class=guides if stacked else int(guides[0]),
     )
 
 
-def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", erase_threshold: float = 0.6):
-    """Graph-free inference pass over a stacked (N,3,H,W) float32 batch.
+def predict_maps(params: ModelParams, images, mode: str = "ccam", erase_threshold: float = 0.6):
+    """Graph-free inference pass over a sequence of (3,H,W) float32 images,
+    such as a list or an (N,3,H,W) array; the only code that batches
+    inference.
 
     Returns branch A's and branch B's score maps (N,C,h,w) of
     :func:`forward` under ``no_grad``, guided by branch A's top-1 class per
@@ -298,17 +289,18 @@ def predict_maps(params: ModelParams, images: np.ndarray, mode: str = "ccam", er
     Non-finite maps raise :class:`NumericError`, so numpy's floating-point
     warnings on the way there are silenced.
 
-    ``forward`` runs on at most ``TRAIN_CHUNK`` samples at a time, so the
-    im2col columns of inference are never larger than those of training.
-    Every sample's result is the same bits at any split.
+    At most ``TRAIN_CHUNK`` images are stacked and run through ``forward``
+    at a time, so the im2col columns of inference are never larger than
+    those of training. Every sample's result is the same bits at any split.
     """
-    images = np.asarray(images, dtype=np.float32)
-    if images.ndim != 4 or not len(images):
-        raise ValueError(f"expected an (N,3,H,W) stack with N >= 1, got shape {images.shape}")
+    if not len(images) or np.ndim(images[0]) != 3:
+        raise ValueError(
+            f"expected (3,H,W) images, as a list or an (N,3,H,W) stack with N >= 1, got shape {np.shape(images)}"
+        )
     parts = []
     with no_grad(), np.errstate(all="ignore"):
         for start in range(0, len(images), TRAIN_CHUNK):
-            art = forward(params, images[start : start + TRAIN_CHUNK], None, mode, erase_threshold)
+            art = forward(params, np.stack(images[start : start + TRAIN_CHUNK]), None, mode, erase_threshold)
             parts.append((art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data))
     scores_a, scores_b, logits_a, logits_b = (np.concatenate(arrays) for arrays in zip(*parts))
     for branch, scores, logits in (("branch_a", scores_a, logits_a), ("branch_b", scores_b, logits_b)):

@@ -13,6 +13,7 @@ from camloc import (
     write_pgm,
     write_ppm,
 )
+from camloc import imageio
 
 
 def small_config(**overrides):
@@ -173,6 +174,24 @@ class TestPgmCodec:
         path = tmp_path / "h.pgm"
         write_pgm(np.zeros((2, 2), dtype=np.float32), path)
         assert path.read_bytes()[:2] == b"P5"
+
+
+@pytest.mark.parametrize(
+    "write, shape, name", [(write_ppm, (3, 2, 2), "x.ppm"), (write_pgm, (2, 2), "x.pgm")], ids=["ppm", "pgm"]
+)
+def test_failed_image_write_keeps_old_file(tmp_path, monkeypatch, write, shape, name):
+    path = tmp_path / name
+    write(np.full(shape, 0.5, dtype=np.float32), path)
+    intact = path.read_bytes()
+
+    def failing_fsync(fd):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(imageio.os, "fsync", failing_fsync)
+    with pytest.raises(OSError, match="disk full"):
+        write(np.zeros(shape, dtype=np.float32), path)
+    assert path.read_bytes() == intact
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 class TestAnnotations:

@@ -22,7 +22,9 @@ from camloc import (
     normalize_minmax,
     write_records,
 )
+from camloc import metrics
 from camloc.metrics import gt_known_correct, localization_flags
+from camloc.model import predict_maps
 from camloc.tensor import upsample_bilinear
 
 import oracles
@@ -328,6 +330,19 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="empty"):
             evaluate(oracles.objectness_params(), [])
 
+    def test_one_inference_pass_per_split(self, monkeypatch):
+        samples = tiny_dataset()
+        assert len(samples) > metrics.EVAL_CHUNK
+        calls = []
+
+        def recording_predict_maps(params, images, *args):
+            calls.append(len(images))
+            return predict_maps(params, images, *args)
+
+        monkeypatch.setattr(metrics, "predict_maps", recording_predict_maps)
+        evaluate(oracles.objectness_params(), samples, tau=0.35)
+        assert calls == [len(samples)]
+
     def test_records_have_five_or_c_predictions(self):
         samples = tiny_dataset()[:2]
         _, records = evaluate(oracles.objectness_params(), samples, tau=0.35)
@@ -344,11 +359,11 @@ def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
     with no_grad():
         for index, sample in enumerate(samples):
             art = forward(params, sample.image, guide_class=None, mode=mode)
-            mean_logits = (art.logits_a.data + art.logits_b.data) / 2
+            mean_logits = (art.logits_a.data[0] + art.logits_b.data[0]) / 2
             preds = [int(c) for c in np.argsort(-mean_logits, kind="stable")[:5]]
 
             def box(c):
-                fused = localization_map(art.score_maps_a.data, art.score_maps_b.data, c, config, single_branch)
+                fused = localization_map(art.score_maps_a.data[0], art.score_maps_b.data[0], c, config, single_branch)
                 full = oracles.upsample_bilinear_4term_ref(fused, *sample.image.shape[1:])
                 return oracles.extract_bbox_ref(normalize_minmax(full).values, tau)
 
@@ -361,8 +376,8 @@ def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
 
 class TestEvaluateMatchesPerSample:
     """Seven classes, so top-5 leaves classes out and the ground-truth class
-    is sometimes a sixth candidate map; ten samples span two inference
-    chunks, the second of them short."""
+    is sometimes a sixth candidate map; ten samples span two localize
+    windows, the second of them short."""
 
     @pytest.mark.parametrize(
         "mode, strategy, single",

@@ -86,15 +86,20 @@ class TestInitModel:
                 assert np.array_equal(tensor.data, np.zeros_like(tensor.data))
 
 
+def branch_a_maps(params, images):
+    """Branch A's (C,N,h,w) score maps of an (N,3,H,W) stack."""
+    features = backbone_forward(params, Tensor(images.transpose(1, 0, 2, 3)))
+    return head_forward(params, "branch_a", features)[0].data
+
+
 class TestForward:
     def test_score_map_shapes_default_config(self):
         params = init_model(ModelConfig(num_classes=4))
         image = np.zeros((3, 64, 64), dtype=np.float32)
         art = forward(params, image, guide_class=0)
-        assert art.score_maps_a.shape == (4, 8, 8)
-        assert art.score_maps_b.shape == (4, 8, 8)
-        assert art.logits_a.shape == (4,)
-        assert art.guidance.values.shape == (8, 8)
+        assert art.score_maps_a.shape == (1, 4, 8, 8)
+        assert art.score_maps_b.shape == (1, 4, 8, 8)
+        assert art.logits_a.shape == art.logits_b.shape == (1, 4)
 
     def test_indivisible_input(self):
         # 60x64 pools to 30x32, then 15x16, which the third block cannot halve
@@ -102,31 +107,48 @@ class TestForward:
         with pytest.raises(ValueError, match="even spatial dims, got 15x16"):
             forward(params, np.zeros((3, 60, 64), np.float32))
 
+    @pytest.mark.parametrize("mode", ["ccam", "threshold"])
+    def test_image_equals_its_stack_of_one(self, mode):
+        # maps, logits, loss and every parameter gradient, bit for bit
+        image = np.random.default_rng(6).uniform(size=(3, 32, 32)).astype(np.float32)
+        runs = []
+        for x in (image, image[None]):
+            params = init_model(small_config())
+            art = forward(params, x, guide_class=2, mode=mode)
+            loss = dual_branch_loss(art.logits_a, art.logits_b, 2)
+            backward(loss)
+            runs.append((art, loss, params))
+        (one, one_loss, one_params), (stack, stack_loss, stack_params) = runs
+        for field in ("score_maps_a", "score_maps_b", "logits_a", "logits_b"):
+            np.testing.assert_array_equal(getattr(one, field).data, getattr(stack, field).data, err_msg=field)
+        assert one.score_maps_a.shape == (1, 4, 4, 4)
+        np.testing.assert_array_equal(one_loss.data, stack_loss.data)
+        for name in one_params.tensors:
+            np.testing.assert_array_equal(one_params[name].grad, stack_params[name].grad, err_msg=name)
+
     def test_constant_score_maps_give_all_ones_guidance(self):
         # zero image + zero biases -> constant (zero) score maps; the
         # degenerate map normalizes to zeros, so both guidance modes pass
         # everything through to branch B.
-        params = init_model(small_config())
-        image = np.zeros((3, 32, 32), dtype=np.float32)
+        scores = branch_a_maps(init_model(small_config()), np.zeros((1, 3, 32, 32), dtype=np.float32))
         for mode in ("ccam", "threshold"):
-            art = forward(params, image, guide_class=1, mode=mode)
-            np.testing.assert_array_equal(art.guidance.values, np.ones((4, 4)))
+            masks = model._guidance_masks(scores, np.array([1]), mode, 0.6)
+            np.testing.assert_array_equal(masks, np.ones((1, 4, 4)))
 
     def test_guidance_always_in_unit_interval(self):
-        params = init_model(small_config())
-        rng = np.random.default_rng(0)
+        images = np.random.default_rng(0).uniform(size=(5, 3, 32, 32)).astype(np.float32)
+        scores = branch_a_maps(init_model(small_config()), images)
         for mode in ("ccam", "threshold"):
-            for _ in range(5):
-                image = rng.uniform(size=(3, 32, 32)).astype(np.float32)
-                art = forward(params, image, guide_class=0, mode=mode)
-                assert art.guidance.values.min() >= 0.0
-                assert art.guidance.values.max() <= 1.0
+            masks = model._guidance_masks(scores, np.zeros(5, dtype=int), mode, 0.6)
+            assert masks.shape == (5, 4, 4)
+            assert masks.min() >= 0.0
+            assert masks.max() <= 1.0
 
     def test_threshold_guidance_is_binary(self):
-        params = init_model(small_config())
-        image = np.random.default_rng(1).uniform(size=(3, 32, 32)).astype(np.float32)
-        art = forward(params, image, guide_class=0, mode="threshold", erase_threshold=0.6)
-        assert set(np.unique(art.guidance.values)) <= {0.0, 1.0}
+        images = np.random.default_rng(1).uniform(size=(1, 3, 32, 32)).astype(np.float32)
+        scores = branch_a_maps(init_model(small_config()), images)
+        masks = model._guidance_masks(scores, np.array([0]), "threshold", 0.6)
+        assert set(np.unique(masks)) <= {0.0, 1.0}
 
     def test_guide_class_out_of_range(self):
         params = init_model(small_config())
@@ -135,18 +157,25 @@ class TestForward:
 
     def test_inference_guide_is_branch_a_argmax(self):
         params = init_model(small_config())
-        image = np.random.default_rng(2).uniform(size=(3, 32, 32)).astype(np.float32)
-        art = forward(params, image, guide_class=None)
-        assert art.guide_class == int(np.argmax(art.logits_a.data))
+        _, samples = small_dataset(n_test=5)
+        images = np.stack([s.image for s in samples])
+        for mode in ("ccam", "threshold"):
+            unguided = forward(params, images, guide_class=None, mode=mode)
+            top1 = np.argmax(unguided.logits_a.data, axis=1)
+            guided = forward(params, images, guide_class=top1, mode=mode)
+            np.testing.assert_array_equal(unguided.score_maps_b.data, guided.score_maps_b.data)
+            # the guide class matters: any other class gives other branch-B maps
+            misguided = forward(params, images, guide_class=(top1 + 1) % 4, mode=mode)
+            assert not np.array_equal(unguided.score_maps_b.data, misguided.score_maps_b.data)
 
     def test_all_ones_override_feeds_branch_b_raw_features(self):
         params = init_model(small_config())
         image = np.random.default_rng(3).uniform(size=(3, 32, 32)).astype(np.float32)
-        art = forward(params, image, guide_class=0, guidance_override=np.ones((4, 4), dtype=np.float32))
+        art = forward(params, image, guide_class=0, guidance_override=np.ones((1, 4, 4), dtype=np.float32))
         features = backbone_forward(params, Tensor(image))
         scores_b, logits_b = head_forward(params, "branch_b", features)
-        np.testing.assert_array_equal(art.score_maps_b.data, scores_b.data)
-        np.testing.assert_array_equal(art.logits_b.data, logits_b.data)
+        np.testing.assert_array_equal(art.score_maps_b.data[0], scores_b.data)
+        np.testing.assert_array_equal(art.logits_b.data[0], logits_b.data)
 
     def test_branch_symmetry_under_parameter_swap(self):
         params = init_model(small_config())
@@ -160,7 +189,7 @@ class TestForward:
                 swapped_tensors[name] = tensor
         swapped = type(params)(swapped_tensors)
         image = np.random.default_rng(4).uniform(size=(3, 32, 32)).astype(np.float32)
-        ones = np.ones((4, 4), dtype=np.float32)
+        ones = np.ones((1, 4, 4), dtype=np.float32)
         original = forward(params, image, guide_class=0, guidance_override=ones)
         mirrored = forward(swapped, image, guide_class=0, guidance_override=ones)
         np.testing.assert_array_equal(original.logits_a.data, mirrored.logits_b.data)
@@ -180,13 +209,10 @@ class TestForward:
         labels = [s.label for s in samples] if labelled else [None] * 5
         art = forward(params, images, guide_class=labels if labelled else None, mode=mode)
         assert art.score_maps_a.shape == (5, 4, 4, 4)
-        assert art.guidance.values.shape == (5, 4, 4)
         for i, image in enumerate(images):
             one = forward(params, image, guide_class=labels[i], mode=mode)
-            assert art.guide_class[i] == one.guide_class
-            np.testing.assert_array_equal(art.guidance.values[i], one.guidance.values)
             for field in ("score_maps_a", "score_maps_b", "logits_a", "logits_b"):
-                np.testing.assert_array_equal(getattr(art, field).data[i], getattr(one, field).data, err_msg=field)
+                np.testing.assert_array_equal(getattr(art, field).data[i], getattr(one, field).data[0], err_msg=field)
 
     def test_stack_needs_one_guide_class_per_image(self):
         params = init_model(small_config())
@@ -210,18 +236,23 @@ class TestPredictMaps:
     @pytest.mark.parametrize("mode", ["ccam", "threshold"])
     def test_equals_forward_bit_for_bit(self, mode):
         params, samples = self.trained()
-        images = np.stack([s.image for s in samples])  # N=7: more than one evaluate chunk
+        images = np.stack([s.image for s in samples])  # N=7: more than one TRAIN_CHUNK
         score_a, score_b, ranking = predict_maps(params, images, mode)
         assert score_a.shape == score_b.shape == (7, 4, 4, 4)
         assert ranking.shape == (7, 4)
         with no_grad():
             for i, sample in enumerate(samples):
                 art = forward(params, sample.image, guide_class=None, mode=mode)
-                np.testing.assert_array_equal(score_a[i], art.score_maps_a.data)
-                np.testing.assert_array_equal(score_b[i], art.score_maps_b.data)
-                mean_logits = (art.logits_a.data + art.logits_b.data) / 2
+                np.testing.assert_array_equal(score_a[i], art.score_maps_a.data[0])
+                np.testing.assert_array_equal(score_b[i], art.score_maps_b.data[0])
+                mean_logits = (art.logits_a.data[0] + art.logits_b.data[0]) / 2
                 np.testing.assert_array_equal(ranking[i], np.argsort(-mean_logits, kind="stable"))
 
+    def test_list_equals_stack_bit_for_bit(self):
+        params, samples = self.trained()
+        images = [s.image for s in samples]
+        for listed, stacked in zip(predict_maps(params, images), predict_maps(params, np.stack(images))):
+            np.testing.assert_array_equal(listed, stacked)
     def test_forward_runs_at_most_a_training_chunk(self, monkeypatch):
         params, samples = self.trained()
         sizes = []
