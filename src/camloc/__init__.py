@@ -37,7 +37,6 @@ from .model import (
     train,
 )
 from .tensor import (
-    ComputationRecord,
     Tensor,
     add,
     backward,

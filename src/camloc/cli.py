@@ -55,9 +55,9 @@ class DataError(Exception):
 @dataclass
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    backbone_channels: tuple[int, ...] = (16, 32, 64)
-    head_width: int = 64
-    model_seed: int = 7
+    backbone_channels: tuple[int, ...] = ModelConfig.backbone_channels
+    head_width: int = ModelConfig.head_width
+    model_seed: int = ModelConfig.seed
     train: TrainConfig = field(default_factory=TrainConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     bbox_tau: float = 0.2
@@ -216,6 +216,8 @@ def _split_dir(cfg: RunConfig, split: str) -> Path:
 
 def _save_split(samples: list[Sample], directory: Path, split: str) -> None:
     directory.mkdir(parents=True, exist_ok=True)
+    # the old annotations go first, so a split whose writing stops partway cannot be read
+    (directory / "annotations.csv").unlink(missing_ok=True)
     rows = []
     for i, sample in enumerate(samples):
         filename = f"{split}_{i:05d}.ppm"

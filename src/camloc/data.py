@@ -120,19 +120,14 @@ def _make_sample(rng: np.random.Generator, index: int, config: DatasetConfig, pa
     return Sample(image=image, label=label, gt_box=gt_box)
 
 
-def generate_dataset(
-    config: DatasetConfig, palette: np.ndarray | None = None
-) -> tuple[list[Sample], list[Sample]]:
+def generate_dataset(config: DatasetConfig) -> tuple[list[Sample], list[Sample]]:
     """Deterministic (train, test) splits from disjoint seed streams.
 
     Labels are assigned round-robin, so a split of N samples over C classes
-    holds exactly ceil/floor(N/C) per class.
+    holds exactly ceil/floor(N/C) per class. Heads take the colors of
+    :func:`head_palette`.
     """
-    if palette is None:
-        palette = head_palette(config.num_classes)
-    palette = np.asarray(palette, dtype=np.float32)
-    if palette.shape != (config.num_classes, 3):
-        raise ValueError(f"palette must be ({config.num_classes},3), got {palette.shape}")
+    palette = head_palette(config.num_classes)
     train_seed, test_seed = np.random.SeedSequence(config.seed).spawn(2)
     train_rng = np.random.default_rng(train_seed)
     test_rng = np.random.default_rng(test_seed)
@@ -152,19 +147,11 @@ def write_annotations(rows, path) -> None:
             handle.write(f"{filename},{label},{box.x_min},{box.y_min},{box.x_max},{box.y_max}\n")
 
 
-def _is_int(text: str) -> bool:
-    try:
-        int(text)
-    except ValueError:
-        return False
-    return True
-
-
-def read_annotations(path, num_classes: int | None = None, image_size=None) -> list[tuple[str, int, BBox]]:
-    """Parse annotation CSV; line 1 is a header when none of its five number
-    fields is an integer. Given ``num_classes``, a class id outside
-    [0, num_classes) is an error; given ``image_size`` (H, W), so is a box
-    that reaches past the image. A file name must name a file in the
+def read_annotations(path, num_classes: int, image_size) -> list[tuple[str, int, BBox]]:
+    """Parse annotation CSV. The file has no header: every non-blank line is
+    a row, and a line that is not ``filename,class_id,x_min,y_min,x_max,y_max``
+    with a class id in [0, num_classes) and a box inside the (H, W)
+    ``image_size`` is an error. A file name must name a file in the
     annotation file's own directory. Errors name the file and line."""
     rows: list[tuple[str, int, BBox]] = []
     # a byte past ASCII decodes to U+FFFD, so the error can name its line
@@ -178,8 +165,6 @@ def read_annotations(path, num_classes: int | None = None, image_size=None) -> l
             parts = line.split(",")
             if len(parts) != 6:
                 raise ValueError(f"{path}: line {line_no}: expected 6 fields, found {len(parts)}")
-            if line_no == 1 and not any(_is_int(p) for p in parts[1:]):
-                continue
             if parts[0] in ("", ".", "..") or any(c in parts[0] for c in "/\\\0"):
                 raise ValueError(f"{path}: line {line_no}: {parts[0]!r} is not a file name in the split")
             try:
@@ -193,9 +178,9 @@ def read_annotations(path, num_classes: int | None = None, image_size=None) -> l
                 box = BBox(x_min, y_min, x_max, y_max)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
-            if num_classes is not None and label >= num_classes:
+            if label >= num_classes:
                 raise ValueError(f"{path}: line {line_no}: class {label} outside [0, {num_classes})")
-            if image_size is not None and (y_max > image_size[0] or x_max > image_size[1]):
+            if y_max > image_size[0] or x_max > image_size[1]:
                 raise ValueError(
                     f"{path}: line {line_no}: box ({x_min},{y_min})..({x_max},{y_max}) outside the "
                     f"{image_size[1]}x{image_size[0]} image"

@@ -93,37 +93,30 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
     def __repr__(self) -> str:
         flag = ", grad" if self.grad_enabled else ""
         return f"Tensor(shape={list(self.shape)}{flag})"
 
 
-class ComputationRecord:
-    """Operations reachable from a root tensor, in topological order.
-
-    Every node appears after the producers of its inputs, so replaying the
-    list in reverse applies the chain rule.
-    """
-
-    def __init__(self, root: Tensor):
-        order: list[Tensor] = []
-        seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
-        while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                order.append(node)
-                continue
-            if id(node) in seen or not node.grad_enabled:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for parent in node._parents:
-                stack.append((parent, False))
-        self.steps = order
+def _graph_order(root: Tensor) -> list[Tensor]:
+    """The grad-enabled tensors reachable from ``root``, in topological
+    order: every node after the producers of its inputs, so :func:`backward`
+    replays the list in reverse to apply the chain rule."""
+    order: list[Tensor] = []
+    seen: set[int] = set()
+    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen or not node.grad_enabled:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            stack.append((parent, False))
+    return order
 
 
 def _record(out: Tensor, parents: tuple[Tensor, ...], backward_fn) -> Tensor:
@@ -152,9 +145,9 @@ def backward(loss: Tensor) -> None:
         raise ValueError(f"backward requires a scalar loss, got shape {list(loss.shape)}")
     if not loss.grad_enabled:
         return
-    record = ComputationRecord(loss)
+    order = _graph_order(loss)
     _accumulate(loss, np.ones_like(loss.data))
-    for node in reversed(record.steps):
+    for node in reversed(order):
         if node._backward_fn is None or node.grad is None:
             continue
         grads = node._backward_fn(node.grad)

@@ -27,6 +27,10 @@ class TestClassMap:
         with pytest.raises(IndexError):
             class_map(maps, -1)
 
+    def test_rank_errors(self):
+        with pytest.raises(ValueError, match=r"\(C,h,w\)"):
+            class_map(np.zeros((3, 3), dtype=np.float32), 0)
+
     def test_output_shape(self):
         maps = np.zeros((4, 5, 7), dtype=np.float32)
         assert class_map(maps, 0).values.shape == (5, 7)

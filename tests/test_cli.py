@@ -209,10 +209,18 @@ class TestConfigFile:
             ("[model]\nhead_width = 0\n[dataset]\nimage_size = 60\n", [], "head_width must be >= 1"),
             ("[dataset]\nimage_size = 0\n", [], "image_size must be >= 1, got (0, 0)"),
             ("[dataset]\nimage_size = -8\n", [], "image_size must be >= 1, got (-8, -8)"),
+            ("[eval]\nbbox_tau = 1.5\n", [], "bbox_tau must lie in (0, 1), got 1.5"),
+            ("[eval]\nsingle_branch = yes\n", [], "single_branch: expected true/false, got 'yes'"),
+            ("[dataset]\nnum_classes = 1\n", [], "num_classes must be >= 2, got 1"),
+            ("[dataset]\ntrain_samples = 0\n", [], "both splits need at least one sample"),
+            ("[model]\nbackbone_channels = 8,0\n", [], "backbone_channels must be positive, got (8, 0)"),
+            ("[train]\nbatch_size = 0\n", [], "batch_size must be >= 1, got 0"),
+            ("", ["--sample", "-1"], "sample index must be >= 0, got -1"),
         ],
         ids=[
             "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both",
-            "image-size-zero", "image-size-negative",
+            "image-size-zero", "image-size-negative", "bbox-tau", "single-branch", "num-classes",
+            "train-samples", "backbone-channels", "batch-size", "sample-flag",
         ],
     )
     def test_invalid_setting_is_usage_error_before_any_work(self, capsys, tmp_path, text, flags, named):
@@ -297,6 +305,27 @@ class TestGenData:
         img_a = (out_a / "dataset" / "train" / "train_00003.ppm").read_bytes()
         img_b = (out_b / "dataset" / "train" / "train_00003.ppm").read_bytes()
         assert img_a == img_b
+
+    def test_interrupted_run_leaves_no_readable_split(self, capsys, monkeypatch, tmp_path, small_cfg_file):
+        # a run over an older dataset that fails at its fourth image must not
+        # leave the old annotations beside the new images
+        out = tmp_path / "run"
+        assert run("gen-data", "--config", small_cfg_file, "--out", str(out)) == 0
+        writes = []
+
+        def failing_write_ppm(image, path):
+            writes.append(path)
+            if len(writes) == 4:
+                raise OSError("disk full")
+            write_ppm(image, path)
+
+        monkeypatch.setattr(cli, "write_ppm", failing_write_ppm)
+        assert run("gen-data", "--config", small_cfg_file, "--seed", "8", "--out", str(out)) == 2
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert run("train", "--config", small_cfg_file, "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "missing dataset split 'train'" in err and err.count("\n") == 1, err
 
 
 class TestTrainCommand:

@@ -13,7 +13,7 @@ from camloc import (
     write_pgm,
     write_ppm,
 )
-from camloc import imageio
+from camloc import data, imageio
 
 
 def small_config(**overrides):
@@ -91,12 +91,13 @@ class TestGenerateDataset:
         with pytest.raises(ValueError, match="cannot fit"):
             generate_dataset(config)
 
-    def test_permuted_palette_permutes_head_colors_only(self):
+    def test_permuted_palette_permutes_head_colors_only(self, monkeypatch):
         config = small_config()
         palette = head_palette(config.num_classes)
         sigma = [2, 3, 1, 0]
-        base_train, _ = generate_dataset(config, palette=palette)
-        perm_train, _ = generate_dataset(config, palette=palette[sigma])
+        base_train, _ = generate_dataset(config)
+        monkeypatch.setattr(data, "head_palette", lambda num_classes: palette[sigma])
+        perm_train, _ = generate_dataset(config)
         for base, perm in zip(base_train, perm_train):
             assert base.label == perm.label
             assert base.gt_box == perm.gt_box
@@ -143,6 +144,12 @@ class TestPpmCodec:
         path.write_bytes(b"P6\n2 2\n255\n" + bytes(12))
         with pytest.raises(ValueError, match="magic"):
             read_pgm(path)
+
+    def test_header_without_raster(self, tmp_path):
+        path = tmp_path / "bare.ppm"
+        path.write_bytes(b"P6\n2 2\n255")
+        with pytest.raises(ValueError, match="missing raster"):
+            read_ppm(path)
 
     def test_truncated_raster(self, tmp_path):
         path = tmp_path / "short.ppm"
@@ -194,6 +201,17 @@ def test_failed_image_write_keeps_old_file(tmp_path, monkeypatch, write, shape, 
     assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
+@pytest.mark.parametrize(
+    "write, shape",
+    [(write_ppm, (2, 2)), (write_ppm, (4, 2, 2)), (write_pgm, (3, 2, 2))],
+    ids=["ppm-2d", "ppm-4-channels", "pgm-3d"],
+)
+def test_misshaped_image_is_refused(tmp_path, write, shape):
+    with pytest.raises(ValueError, match=r"must be \((3,)?H,W\), got shape"):
+        write(np.zeros(shape, dtype=np.float32), tmp_path / "x")
+    assert not any(tmp_path.iterdir())
+
+
 class TestAnnotations:
     def test_round_trip_exact(self, tmp_path):
         rows = [
@@ -202,7 +220,7 @@ class TestAnnotations:
         ]
         path = tmp_path / "ann.csv"
         write_annotations(rows, path)
-        assert read_annotations(path) == rows
+        assert read_annotations(path, 4, (64, 64)) == rows
 
     def test_failed_write_leaves_existing_file(self, tmp_path):
         path = tmp_path / "ann.csv"
@@ -215,31 +233,33 @@ class TestAnnotations:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ann.csv"]
 
     def test_header_line_detected(self, tmp_path):
+        # the file has no header: a header, or a first row with no integer field, is refused
         path = tmp_path / "ann.csv"
-        path.write_text("filename,class,x_min,y_min,x_max,y_max\na.ppm,1,0,0,4,4\n")
-        rows = read_annotations(path)
-        assert rows == [("a.ppm", 1, BBox(0, 0, 4, 4))]
+        for first_line in ("filename,class,x_min,y_min,x_max,y_max", "train_00000.ppm,x,1.5,?,-,4e0"):
+            path.write_text(f"{first_line}\na.ppm,1,0,0,4,4\n")
+            with pytest.raises(ValueError, match="line 1: non-integer field"):
+                read_annotations(path, 4, (64, 64))
 
     def test_bad_class_on_line_one_is_not_a_header(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("a.ppm,x,0,0,4,4\nb.ppm,2,0,0,4,4\n")
         with pytest.raises(ValueError, match="line 1: non-integer field"):
-            read_annotations(path)
+            read_annotations(path, 4, (64, 64))
 
     def test_negative_coordinate_rejected_with_line_number(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("a.ppm,1,0,0,4,4\nb.ppm,2,-1,0,4,4\n")
         with pytest.raises(ValueError, match="line 2.*negative"):
-            read_annotations(path)
+            read_annotations(path, 4, (64, 64))
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("a.ppm,1,0,0,4,4\nb.ppm,2,0,0\n")
         with pytest.raises(ValueError, match="line 2"):
-            read_annotations(path)
+            read_annotations(path, 4, (64, 64))
 
     def test_non_integer_field(self, tmp_path):
         path = tmp_path / "ann.csv"
         path.write_text("a.ppm,1,0,0,4,4\nb.ppm,x,0,0,4,4\n")
         with pytest.raises(ValueError, match="line 2"):
-            read_annotations(path)
+            read_annotations(path, 4, (64, 64))

@@ -304,3 +304,32 @@ class TestLocalizationMaps:
         maps = np.zeros((2, 3, 4, 4), dtype=np.float32)
         with pytest.raises(IndexError, match="class 3"):
             localization_maps(maps, maps, [0, 1], [0, 3], FusionConfig("addition"))
+
+
+def zeros(*shape):
+    return np.zeros(shape, dtype=np.float32)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: fuse_addition(cam(zeros(2, 2)), cam(zeros(3, 2))), "mismatch", id="fuse-addition"),
+        pytest.param(lambda: activity_map(zeros(4, 4)), r"\(C,h,w\) or \(S,C,h,w\)", id="activity-map-rank"),
+        pytest.param(lambda: fusion_weights(zeros(2, 2), zeros(2, 3)), "mismatch", id="fusion-weights"),
+        pytest.param(
+            lambda: localization_maps(zeros(3, 4, 4), zeros(3, 4, 4), [0], [0], FusionConfig()), r"\(S,C,h,w\)",
+            id="localization-maps-rank",
+        ),
+        pytest.param(
+            lambda: localization_maps(zeros(2, 3, 4, 4), zeros(2, 3, 4, 4), [0, 1], [0], FusionConfig()),
+            "one sample index per class", id="localization-maps-indices",
+        ),
+        pytest.param(
+            lambda: localization_map(zeros(1, 3, 4, 4), zeros(1, 3, 4, 4), 0, FusionConfig()), r"\(C,h,w\)",
+            id="localization-map-rank",
+        ),
+    ],
+)
+def test_misshaped_input_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

@@ -96,6 +96,10 @@ class TestExtractBbox:
         with pytest.raises(ValueError, match=r"\(0, 1\)"):
             extract_bbox(np.ones((4, 4), dtype=np.float32), tau)
 
+    def test_needs_a_2d_map(self):
+        with pytest.raises(ValueError, match="2-d"):
+            extract_bbox(np.ones((1, 4, 4), dtype=np.float32), 0.2)
+
     def test_within_bounds_and_tau_monotone_on_blobs(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
@@ -329,6 +333,10 @@ class TestEvaluate:
     def test_empty_dataset_errors(self):
         with pytest.raises(ValueError, match="empty"):
             evaluate(oracles.objectness_params(), [])
+
+    def test_tau_out_of_range(self):
+        with pytest.raises(ValueError, match=r"bbox threshold must lie in \(0, 1\), got 1.5"):
+            evaluate(oracles.objectness_params(), tiny_dataset()[:2], tau=1.5)
 
     def test_one_inference_pass_per_split(self, monkeypatch):
         samples = tiny_dataset()

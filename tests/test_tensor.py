@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from camloc import (
-    ComputationRecord,
     Tensor,
     add,
     backward,
@@ -23,6 +22,7 @@ from camloc.tensor import (
     _im2col,
     _im2col_same,
     _input_grad_same,
+    _graph_order,
     _record,
     conv_pool_relu,
     maxpool2x2,
@@ -567,9 +567,9 @@ class TestBackward:
         y = mul(x, x)
         z = add(y, x)
         loss = tensor_sum(z)
-        record = ComputationRecord(loss)
-        position = {id(node): i for i, node in enumerate(record.steps)}
-        for node in record.steps:
+        order = _graph_order(loss)
+        position = {id(node): i for i, node in enumerate(order)}
+        for node in order:
             for parent in node._parents:
                 if id(parent) in position:
                     assert position[id(parent)] < position[id(node)]
@@ -615,3 +615,50 @@ class TestSgdStep:
         with pytest.raises(ValueError, match="finite"):
             sgd_step([p], lr)
         assert p.data[0] == 1.0
+
+
+def zeros(*shape):
+    return t(np.zeros(shape))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        pytest.param(lambda: add(zeros(2), zeros(3)), "add shape mismatch", id="add"),
+        pytest.param(lambda: mul(zeros(2), zeros(2, 1)), "mul shape mismatch", id="mul"),
+        pytest.param(lambda: conv2d(zeros(4, 4), zeros(2, 1, 3, 3), zeros(2)), "conv2d expects", id="conv-input-rank"),
+        pytest.param(lambda: conv2d(zeros(1, 4, 4), zeros(2, 1, 3), zeros(2)), "conv2d expects", id="conv-kernel-rank"),
+        pytest.param(
+            lambda: conv2d(zeros(1, 4, 4), zeros(2, 1, 3, 3), zeros(2, 1)), "conv2d expects", id="conv-bias-rank"
+        ),
+        pytest.param(
+            lambda: conv2d(zeros(1, 4, 4), zeros(2, 1, 3, 3), zeros(3)), "bias shape .3,. does not match 2",
+            id="conv-bias-shape",
+        ),
+        pytest.param(
+            lambda: conv2d(zeros(1, 4, 4), zeros(2, 1, 3, 3), zeros(2), stride=0), "invalid stride/pad: 0, 0",
+            id="conv-stride-0",
+        ),
+        pytest.param(
+            lambda: conv2d(zeros(1, 4, 4), zeros(2, 1, 3, 3), zeros(2), pad=-1), "invalid stride/pad: 1, -1",
+            id="conv-pad-negative",
+        ),
+        pytest.param(
+            lambda: conv2d(zeros(1, 2, 2), zeros(2, 1, 3, 3), zeros(2)), "kernel 3x3 larger than padded input 2x2",
+            id="conv-kernel-too-large",
+        ),
+        pytest.param(lambda: maxpool2d(zeros(4, 4)), "maxpool2d expects", id="maxpool-rank"),
+        pytest.param(lambda: global_avg_pool(zeros(4, 4)), "global_avg_pool expects", id="avg-pool-rank"),
+        pytest.param(lambda: broadcast_mul_channels(zeros(4, 4), zeros(4)), "expected .K,H,W.", id="mul-channels-rank"),
+        pytest.param(
+            lambda: broadcast_mul_channels(zeros(2, 4, 4), zeros(2, 4, 4)), "expected .K,H,W.",
+            id="mul-channels-map-rank",
+        ),
+        pytest.param(lambda: softmax_cross_entropy(zeros(1, 2, 3), 0), "softmax_cross_entropy expects", id="xent-rank"),
+        pytest.param(lambda: softmax_cross_entropy(zeros(2, 3), [0, 1, 2]), "expected 2 labels", id="xent-label-count"),
+        pytest.param(lambda: bilinear_upsample(zeros(1, 2, 2), 4, 4), "expects a 2-d map", id="upsample-rank"),
+    ],
+)
+def test_misshaped_input_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
