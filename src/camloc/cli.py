@@ -17,11 +17,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cam import class_map, complement, normalize_minmax
+from .cam import class_map, normalize_minmax
 from .data import DatasetConfig, Sample, generate_dataset, read_annotations, write_annotations
 from .fusion import STRATEGIES, FusionConfig
 from .imageio import atomic_write, read_ppm, write_pgm, write_ppm
-from .metrics import evaluate, localize, write_records
+from .metrics import BBOX_TAU, evaluate, localize, write_records
 from .model import (
     GUIDANCE_MODES,
     CheckpointError,
@@ -60,7 +60,7 @@ class RunConfig:
     model_seed: int = ModelConfig.seed
     train: TrainConfig = field(default_factory=TrainConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    bbox_tau: float = 0.2
+    bbox_tau: float = BBOX_TAU
     single_branch: bool = False
     sample_index: int = 0
     out_dir: str = "camloc_out"
@@ -354,7 +354,7 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     sample = _read_sample(cfg, directory, rows[cfg.sample_index])
     height, width = sample.image.shape[1:]
 
-    score_a, score_b, ranking = predict_maps(
+    score_a, score_b, ranking, guidance = predict_maps(
         params, [sample.image], cfg.train.guidance_mode, cfg.train.erase_threshold
     )
     predicted = int(ranking[0, 0])
@@ -363,7 +363,7 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     )
     cam_a = normalize_minmax(class_map(score_a[0], predicted))
     cam_b = normalize_minmax(class_map(score_b[0], predicted))
-    maps = upsample_bilinear(np.stack([cam_a.values, complement(cam_a).values, cam_b.values]), height, width)
+    maps = upsample_bilinear(np.stack([cam_a.values, guidance[0], cam_b.values]), height, width)
     for name, values in zip(("cam_a", "ccam", "cam_b"), maps):
         write_pgm(values, out / f"{name}.pgm")
     write_pgm(fused_full[0], out / "fused.pgm")

@@ -17,7 +17,7 @@ import numpy as np
 from . import fusion as fusion_mod
 from .cam import normalize_minmax
 from .imageio import atomic_write
-from .model import ModelParams, predict_maps
+from .model import ModelParams, TrainConfig, predict_maps
 from .tensor import upsample_bilinear
 
 # not called here any more, but perfbench/tracer.py patches them in this module
@@ -27,6 +27,7 @@ from .tensor import bilinear_upsample  # noqa: F401
 # samples per localize pass in ``evaluate``: 8 ran faster than 4. Inference
 # is batched by predict_maps alone, at model.TRAIN_CHUNK samples per forward
 EVAL_CHUNK = 8
+BBOX_TAU = 0.2  # default box threshold, as a fraction of each map's maximum
 
 
 @dataclass(frozen=True)
@@ -202,9 +203,9 @@ def evaluate(
     params: ModelParams,
     dataset,
     fusion_config: fusion_mod.FusionConfig | None = None,
-    tau: float = 0.2,
-    cam_mode: str = "ccam",
-    erase_threshold: float = 0.6,
+    tau: float = BBOX_TAU,
+    cam_mode: str = TrainConfig.guidance_mode,
+    erase_threshold: float = TrainConfig.erase_threshold,
     single_branch: bool = False,
 ) -> tuple[MetricsReport, list[EvalRecord]]:
     """Run classification + localization evaluation over an annotated dataset:
@@ -222,7 +223,7 @@ def evaluate(
         if sample.gt_box is None:
             raise ValueError(f"sample {index:05d} is missing a ground-truth box")
 
-    score_a, score_b, ranking = predict_maps(params, [sample.image for sample in samples], cam_mode, erase_threshold)
+    score_a, score_b, ranking, _ = predict_maps(params, [sample.image for sample in samples], cam_mode, erase_threshold)
     size = samples[0].image.shape[1:]
     records: list[EvalRecord] = []
     for start in range(0, len(samples), EVAL_CHUNK):

@@ -125,10 +125,13 @@ class ModelParams:
 
 @dataclass
 class ForwardArtifacts:
+    """What :func:`forward` computed; ``guidance`` is the mask that scaled branch B's features."""
+
     score_maps_a: Tensor
     score_maps_b: Tensor
     logits_a: Tensor
     logits_b: Tensor
+    guidance: np.ndarray
 
 
 @dataclass
@@ -221,8 +224,8 @@ def forward(
     params: ModelParams,
     image,
     guide_class=None,
-    mode: str = "ccam",
-    erase_threshold: float = 0.6,
+    mode: str = TrainConfig.guidance_mode,
+    erase_threshold: float = TrainConfig.erase_threshold,
     guidance_override: np.ndarray | None = None,
 ) -> ForwardArtifacts:
     """Full two-branch forward pass over an (N,3,H,W) image stack; a
@@ -231,7 +234,8 @@ def forward(
     ``guide_class`` selects which class map drives each sample's guidance:
     N ints (an int for one image); None uses branch A's top-1 prediction
     (the label-free inference protocol). ``guidance_override`` substitutes a
-    fixed (N,h,w) mask, for diagnostics and ablations.
+    fixed (N,h,w) mask, for diagnostics and ablations. The mask branch B
+    was given, computed or substituted, comes back as ``guidance``.
 
     The stack runs channel-major: it is transposed to (3,N,H,W) once on
     entry. Every artifact comes back with the leading batch axis, a single
@@ -274,18 +278,23 @@ def forward(
         score_maps_b=Tensor(score_maps_b.data.transpose(1, 0, 2, 3)),
         logits_a=logits_a,
         logits_b=logits_b,
+        guidance=guidance,
     )
 
 
-def predict_maps(params: ModelParams, images, mode: str = "ccam", erase_threshold: float = 0.6):
+def predict_maps(
+    params: ModelParams, images,
+    mode: str = TrainConfig.guidance_mode, erase_threshold: float = TrainConfig.erase_threshold,
+):
     """Graph-free inference pass over a sequence of (3,H,W) float32 images,
     such as a list or an (N,3,H,W) array; the only code that batches
     inference.
 
     Returns branch A's and branch B's score maps (N,C,h,w) of
     :func:`forward` under ``no_grad``, guided by branch A's top-1 class per
-    sample, and the (N,C) class ranking: each sample's classes by the mean
-    of the two branches' logits, highest first, a tie to the lower class.
+    sample; the (N,C) class ranking: each sample's classes by the mean of
+    the two branches' logits, highest first, a tie to the lower class; and
+    the (N,h,w) guidance masks that scaled branch B's features.
     Non-finite maps raise :class:`NumericError`, so numpy's floating-point
     warnings on the way there are silenced.
 
@@ -301,12 +310,14 @@ def predict_maps(params: ModelParams, images, mode: str = "ccam", erase_threshol
     with no_grad(), np.errstate(all="ignore"):
         for start in range(0, len(images), TRAIN_CHUNK):
             art = forward(params, np.stack(images[start : start + TRAIN_CHUNK]), None, mode, erase_threshold)
-            parts.append((art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data))
-    scores_a, scores_b, logits_a, logits_b = (np.concatenate(arrays) for arrays in zip(*parts))
+            parts.append(
+                (art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data, art.guidance)
+            )
+    scores_a, scores_b, logits_a, logits_b, guidance = (np.concatenate(arrays) for arrays in zip(*parts))
     for branch, scores, logits in (("branch_a", scores_a, logits_a), ("branch_b", scores_b, logits_b)):
         if not (np.isfinite(scores).all() and np.isfinite(logits).all()):
             raise NumericError(f"non-finite {branch} score maps at inference")
-    return scores_a, scores_b, np.argsort(-((logits_a + logits_b) / 2), axis=1, kind="stable")
+    return scores_a, scores_b, np.argsort(-((logits_a + logits_b) / 2), axis=1, kind="stable"), guidance
 
 
 def dual_branch_loss(logits_a: Tensor, logits_b: Tensor, label) -> Tensor:

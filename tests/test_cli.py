@@ -13,10 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from camloc import cli, load_checkpoint, read_pgm, read_ppm, save_checkpoint, write_ppm
+from camloc import cli, forward, load_checkpoint, read_pgm, read_ppm, save_checkpoint, write_ppm
+from camloc.cam import class_map, complement, normalize_minmax, threshold_erase
 from camloc.cli import RunConfig, main, parse_config_file, write_manifest
 from camloc.metrics import evaluate, localize
 from camloc.model import NumericError
+from camloc.tensor import upsample_bilinear
 
 import oracles
 
@@ -764,6 +766,44 @@ class TestVisualizeCommand:
         a = np.frombuffer(cam_a, dtype=np.uint8).astype(np.int16)
         c = np.frombuffer(ccam, dtype=np.uint8).astype(np.int16)
         assert np.abs(255 - a - c).max() <= 1  # equal up to quantization
+
+    @staticmethod
+    def branch_a_top1_mask(out, mode):
+        """Sample 0's guidance as 8-bit pixels, rebuilt from forward's branch-A
+        maps and logits: branch A's own top-1 map, complemented or erased."""
+        image = read_ppm(out / "dataset" / "test" / "test_00000.ppm")
+        art = forward(load_checkpoint(out / "checkpoint.bin"), image, mode=mode)
+        cam = normalize_minmax(class_map(art.score_maps_a.data[0], int(np.argmax(art.logits_a.data[0]))))
+        mask = complement(cam) if mode == "ccam" else threshold_erase(cam, 0.6)
+        return np.rint(upsample_bilinear(mask.values[None], 64, 64)[0] * 255)
+
+    def test_threshold_mode_ccam_is_the_erase_mask(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        assert run("visualize", "--config", cfg_path, "--out", str(out), "--cam-mode", "threshold") == 0
+        expected = self.branch_a_top1_mask(out, "threshold")
+        assert expected.min() == 0 and expected.max() == 255  # the mask erases part of the image
+        ccam = np.rint(read_pgm(out / "ccam.pgm") * 255)
+        assert np.abs(ccam - expected).max() <= 1
+
+    def test_ccam_follows_branch_a_top1_when_the_ranking_disagrees(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        # branch A: class 0 scores 5 - objectness, so it wins A's logits with
+        # an inverted map; branch B: class 1 gets +20, so the mean ranks class 1
+        params = oracles.objectness_params()
+        params["branch_a.score.weight"].data[:, 0, 0, 0] = [-1, 1, 1, 1]
+        params["branch_a.score.bias"].data[:] = [5, 0, 0, 0]
+        params["branch_b.score.bias"].data[:] = [0, 20, 0, 0]
+        save_checkpoint(params, out / "checkpoint.bin")
+        image = read_ppm(out / "dataset" / "test" / "test_00000.ppm")
+        art = forward(params, image)
+        assert np.argmax(art.logits_a.data[0]) == 0
+        assert np.argmax(art.logits_a.data[0] + art.logits_b.data[0]) == 1
+
+        assert run("visualize", "--config", cfg_path, "--out", str(out)) == 0
+        ccam = np.rint(read_pgm(out / "ccam.pgm") * 255)
+        assert np.abs(ccam - self.branch_a_top1_mask(out, "ccam")).max() <= 1
+        cam_a = np.rint(read_pgm(out / "cam_a.pgm") * 255)
+        assert np.abs(255 - cam_a - ccam).max() > 1
 
     def test_sample_out_of_range_is_data_error(self, capsys, oracle_run):
         cfg_path, out = oracle_run

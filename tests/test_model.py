@@ -171,7 +171,9 @@ class TestForward:
     def test_all_ones_override_feeds_branch_b_raw_features(self):
         params = init_model(small_config())
         image = np.random.default_rng(3).uniform(size=(3, 32, 32)).astype(np.float32)
-        art = forward(params, image, guide_class=0, guidance_override=np.ones((1, 4, 4), dtype=np.float32))
+        ones = np.ones((1, 4, 4), dtype=np.float32)
+        art = forward(params, image, guide_class=0, guidance_override=ones)
+        assert art.guidance is ones
         features = backbone_forward(params, Tensor(image))
         scores_b, logits_b = head_forward(params, "branch_b", features)
         np.testing.assert_array_equal(art.score_maps_b.data[0], scores_b.data)
@@ -237,14 +239,16 @@ class TestPredictMaps:
     def test_equals_forward_bit_for_bit(self, mode):
         params, samples = self.trained()
         images = np.stack([s.image for s in samples])  # N=7: more than one TRAIN_CHUNK
-        score_a, score_b, ranking = predict_maps(params, images, mode)
+        score_a, score_b, ranking, guidance = predict_maps(params, images, mode)
         assert score_a.shape == score_b.shape == (7, 4, 4, 4)
         assert ranking.shape == (7, 4)
+        assert guidance.shape == (7, 4, 4)
         with no_grad():
             for i, sample in enumerate(samples):
                 art = forward(params, sample.image, guide_class=None, mode=mode)
                 np.testing.assert_array_equal(score_a[i], art.score_maps_a.data[0])
                 np.testing.assert_array_equal(score_b[i], art.score_maps_b.data[0])
+                np.testing.assert_array_equal(guidance[i], art.guidance[0])
                 mean_logits = (art.logits_a.data[0] + art.logits_b.data[0]) / 2
                 np.testing.assert_array_equal(ranking[i], np.argsort(-mean_logits, kind="stable"))
 
@@ -269,7 +273,7 @@ class TestPredictMaps:
         # the objectness oracle copies one channel into every class map, so
         # every sample's classes tie; the first maximum ranks first, as argmax picks it
         _, samples = small_dataset(n_test=3)
-        _, _, ranking = predict_maps(oracles.objectness_params(), np.stack([s.image for s in samples]))
+        _, _, ranking, _ = predict_maps(oracles.objectness_params(), np.stack([s.image for s in samples]))
         np.testing.assert_array_equal(ranking, np.tile(np.arange(4), (3, 1)))
 
     def test_non_finite_weight_raises_numeric_error(self):
