@@ -9,10 +9,9 @@ from camloc import (
     block_average,
     class_map,
     complement,
-    fuse_addition,
     fuse_l1norm,
-    fuse_max,
     fusion_weights,
+    localization_map,
     normalize_minmax,
     threshold_erase,
 )
@@ -26,14 +25,13 @@ score_b = np.zeros((2, 5, 5), dtype=np.float32)
 score_b[0, 2:5, 2:5] = 2.0
 
 cam_a = normalize_minmax(class_map(score_a, 0))
-cam_b = normalize_minmax(class_map(score_b, 0))
 print("branch A map (normalized):", cam_a.values, sep="\n")
 print("\ncomplement (what branch B is told to look at):", complement(cam_a).values, sep="\n")
 print("\nthreshold-erased variant (delta=0.6):", threshold_erase(cam_a, 0.6).values, sep="\n")
 
 print("\n--- fusion strategies ---")
-print("max:", fuse_max(cam_a, cam_b), sep="\n")
-print("\naddition:", fuse_addition(cam_a, cam_b), sep="\n")
+print("max:", localization_map(score_a, score_b, 0, FusionConfig("max")), sep="\n")
+print("\naddition:", localization_map(score_a, score_b, 0, FusionConfig("addition")), sep="\n")
 
 activity_a = block_average(activity_map(score_a), radius=1)
 activity_b = block_average(activity_map(score_b), radius=1)

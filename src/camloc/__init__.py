@@ -13,9 +13,7 @@ from .fusion import (
     FusionConfig,
     activity_map,
     block_average,
-    fuse_addition,
     fuse_l1norm,
-    fuse_max,
     fusion_weights,
     localization_map,
 )

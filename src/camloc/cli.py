@@ -428,7 +428,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = _build_config(args)
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         args.func(cfg, out)
         write_manifest(cfg, out / f"manifest_{args.command}.cfg")
         if args.command in ("eval", "visualize"):

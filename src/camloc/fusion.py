@@ -3,6 +3,9 @@
 Three strategies: pointwise max (erasing-baseline behaviour), pointwise
 addition, and activity-weighted blending where each branch's weight at a
 pixel is its share of the block-averaged channel-wise l1 activity.
+:func:`localization_maps` is the only code that fuses: :func:`localization_map`
+and :func:`fuse_l1norm` call it, and :func:`activity_map`,
+:func:`block_average` and :func:`fusion_weights` are its l1norm stages.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cam import CamMap, normalize_minmax
+from .cam import normalize_minmax
 
 STRATEGIES = ("max", "addition", "l1norm")
 
@@ -28,20 +31,6 @@ class FusionConfig:
             )
         if self.block_radius < 0:
             raise ValueError(f"block radius must be >= 0, got {self.block_radius}")
-
-
-def fuse_max(a: CamMap, b: CamMap) -> np.ndarray:
-    """Pointwise maximum of two maps."""
-    if a.values.shape != b.values.shape:
-        raise ValueError(f"shape mismatch: {a.values.shape} vs {b.values.shape}")
-    return np.maximum(a.values, b.values)
-
-
-def fuse_addition(a: CamMap, b: CamMap) -> np.ndarray:
-    """Pointwise sum of two maps."""
-    if a.values.shape != b.values.shape:
-        raise ValueError(f"shape mismatch: {a.values.shape} vs {b.values.shape}")
-    return a.values + b.values
 
 
 def activity_map(score_maps: np.ndarray) -> np.ndarray:
@@ -117,11 +106,12 @@ def localization_maps(
     """Final maps for box extraction, stacked (M,h,w): map k is class
     ``classes[k]`` of sample ``samples[k]`` of the (S,C,h,w) score maps.
 
-    Max and addition operate on min-max normalized per-class maps (raw
-    scale must not let one branch dominate); l1norm weighting consumes the
-    raw score maps, and its activity weights, computed once per sample, are
-    shared by all of that sample's classes. ``single_branch`` returns branch
-    A's normalized maps alone, the no-fusion baseline.
+    Max and addition are the pointwise maximum and sum of the min-max
+    normalized per-class maps (raw scale must not let one branch dominate);
+    l1norm weighting consumes the raw score maps, and its activity weights,
+    computed once per sample, are shared by all of that sample's classes.
+    ``single_branch`` returns branch A's normalized maps alone, the
+    no-fusion baseline.
     """
     sa = np.asarray(score_maps_a, dtype=np.float32)
     sb = np.asarray(score_maps_b, dtype=np.float32)
@@ -142,11 +132,11 @@ def localization_maps(
             block_average(activity_map(sb), config.block_radius),
         )
         return wa[samples] * sa[samples, classes] + wb[samples] * sb[samples, classes]
-    a = normalize_minmax(sa[samples, classes])
+    a = normalize_minmax(sa[samples, classes]).values
     if single_branch:
-        return a.values
-    fuse = fuse_max if config.strategy == "max" else fuse_addition
-    return fuse(a, normalize_minmax(sb[samples, classes]))
+        return a
+    b = normalize_minmax(sb[samples, classes]).values
+    return np.maximum(a, b) if config.strategy == "max" else a + b
 
 
 def localization_map(

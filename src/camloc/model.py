@@ -226,16 +226,14 @@ def forward(
     guide_class=None,
     mode: str = TrainConfig.guidance_mode,
     erase_threshold: float = TrainConfig.erase_threshold,
-    guidance_override: np.ndarray | None = None,
 ) -> ForwardArtifacts:
     """Full two-branch forward pass over an (N,3,H,W) image stack; a
     (3,H,W) image is the N=1 stack.
 
     ``guide_class`` selects which class map drives each sample's guidance:
     N ints (an int for one image); None uses branch A's top-1 prediction
-    (the label-free inference protocol). ``guidance_override`` substitutes a
-    fixed (N,h,w) mask, for diagnostics and ablations. The mask branch B
-    was given, computed or substituted, comes back as ``guidance``.
+    (the label-free inference protocol). Branch B's (N,h,w) mask always
+    comes from :func:`_guidance_masks`, and comes back as ``guidance``.
 
     The stack runs channel-major: it is transposed to (3,N,H,W) once on
     entry. Every artifact comes back with the leading batch axis, a single
@@ -262,10 +260,7 @@ def forward(
             raise ValueError(f"{len(guides)} guide classes for {n} images")
         if guides.min() < 0 or guides.max() >= params.num_classes:
             raise IndexError(f"guide class {guide_class} out of range for {params.num_classes} classes")
-    if guidance_override is None:
-        guidance = _guidance_masks(score_maps_a.data, guides, mode, erase_threshold)
-    else:
-        guidance = guidance_override
+    guidance = _guidance_masks(score_maps_a.data, guides, mode, erase_threshold)
 
     # Branch B reads the shared features but does not train them: letting
     # both cross-entropy terms pull on one trunk destabilizes small-scale
@@ -280,6 +275,14 @@ def forward(
         logits_b=logits_b,
         guidance=guidance,
     )
+
+
+def _check_same_shape(images) -> None:
+    """Refuse a sequence of images whose shapes differ, before any work is done."""
+    first = np.shape(images[0])
+    for index, image in enumerate(images):
+        if np.shape(image) != first:
+            raise ValueError(f"image {index} has shape {np.shape(image)}, but image 0 has shape {first}")
 
 
 def predict_maps(
@@ -301,11 +304,14 @@ def predict_maps(
     At most ``TRAIN_CHUNK`` images are stacked and run through ``forward``
     at a time, so the im2col columns of inference are never larger than
     those of training. Every sample's result is the same bits at any split.
+    Images of different shapes are refused with a ``ValueError`` before the
+    first chunk runs.
     """
     if not len(images) or np.ndim(images[0]) != 3:
         raise ValueError(
             f"expected (3,H,W) images, as a list or an (N,3,H,W) stack with N >= 1, got shape {np.shape(images)}"
         )
+    _check_same_shape(images)
     parts = []
     with no_grad(), np.errstate(all="ignore"):
         for start in range(0, len(images), TRAIN_CHUNK):
@@ -351,7 +357,8 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
     sample order is reshuffled every epoch by a generator seeded from
     ``config.seed``, so identical configs reproduce identical runs. A
     non-finite loss, or a parameter left non-finite by the last step,
-    raises :class:`NumericError`.
+    raises :class:`NumericError`. Samples whose images differ in shape are
+    refused with a ``ValueError`` before any parameter changes.
 
     No chunk's graph holds im2col columns: each conv allocates its columns
     and column gradients fresh and drops them before it returns, so at most
@@ -360,6 +367,7 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
     samples = list(dataset)
     if not samples:
         raise ValueError("training dataset is empty")
+    _check_same_shape([sample.image for sample in samples])
     labels = np.array([sample.label for sample in samples])
     rng = np.random.default_rng(config.seed)
     trainable = params.trainable()

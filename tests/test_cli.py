@@ -286,6 +286,17 @@ def test_manifest_written_only_on_success(tmp_path, pipeline_run, command):
     assert sorted(p.name for p in failed.iterdir()) == ["dataset"]
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_failing_command_creates_no_out_directory(capsys, tmp_path, command):
+    # gen-data fails while generating (no body fits a 16x16 image); the
+    # others find no dataset or checkpoint in the mistyped workspace
+    path = tmp_path / "tiny.cfg"
+    path.write_text("[dataset]\nimage_size = 16\n\n[model]\nbackbone_channels = 4\n")
+    assert run(command, "--config", str(path), "--out", str(tmp_path / "typo" / "run")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestGenData:
     def test_writes_images_annotations_manifest(self, tmp_path, small_cfg_file):
         out = tmp_path / "run"

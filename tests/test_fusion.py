@@ -7,13 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from camloc import (
-    CamMap,
     FusionConfig,
     activity_map,
     block_average,
-    fuse_addition,
     fuse_l1norm,
-    fuse_max,
     fusion_weights,
     localization_map,
     normalize_minmax,
@@ -23,42 +20,46 @@ from camloc.fusion import localization_maps
 import oracles
 
 
-def cam(values):
-    return CamMap(np.asarray(values, dtype=np.float32), normalized=True)
+def fuse(strategy, a, b):
+    """``localization_map`` of two one-class (h,w) maps under max or addition."""
+    sa, sb = (np.asarray(m, dtype=np.float32)[None] for m in (a, b))
+    return localization_map(sa, sb, 0, FusionConfig(strategy))
 
 
 class TestFuseMax:
     def test_pointwise(self):
-        out = fuse_max(cam([[0.1, 0.9]]), cam([[0.5, 0.2]]))
-        np.testing.assert_allclose(out, [[0.5, 0.9]])
+        # maps spanning exactly [0, 1] are their own min-max normalization
+        out = fuse("max", [[0.0, 0.1, 1.0]], [[1.0, 0.5, 0.0]])
+        np.testing.assert_allclose(out, [[1.0, 0.5, 1.0]])
 
     def test_idempotent(self):
-        m = cam(np.random.default_rng(0).uniform(size=(3, 3)))
-        np.testing.assert_array_equal(fuse_max(m, m), m.values)
+        m = np.random.default_rng(0).uniform(size=(3, 3))
+        np.testing.assert_array_equal(fuse("max", m, m), normalize_minmax(m).values)
 
     def test_commutative(self):
         rng = np.random.default_rng(1)
-        a, b = cam(rng.uniform(size=(4, 4))), cam(rng.uniform(size=(4, 4)))
-        np.testing.assert_array_equal(fuse_max(a, b), fuse_max(b, a))
+        a, b = rng.uniform(size=(4, 4)), rng.uniform(size=(4, 4))
+        np.testing.assert_array_equal(fuse("max", a, b), fuse("max", b, a))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            fuse_max(cam(np.zeros((2, 2))), cam(np.zeros((3, 2))))
+            fuse("max", np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 class TestFuseAddition:
     def test_constants(self):
-        out = fuse_addition(cam(np.full((2, 2), 0.2)), cam(np.full((2, 2), 0.5)))
-        np.testing.assert_allclose(out, np.full((2, 2), 0.7))
+        out = fuse("addition", [[0.0, 0.2, 0.2, 1.0]], [[0.0, 0.5, 0.5, 1.0]])
+        np.testing.assert_allclose(out, [[0.0, 0.7, 0.7, 2.0]])
 
     def test_zero_identity(self):
-        a = cam(np.random.default_rng(2).uniform(size=(3, 3)))
-        np.testing.assert_array_equal(fuse_addition(a, cam(np.zeros((3, 3)))), a.values)
+        # an all-zero map normalizes to all zeros
+        a = np.random.default_rng(2).uniform(size=(3, 3))
+        np.testing.assert_array_equal(fuse("addition", a, np.zeros((3, 3))), normalize_minmax(a).values)
 
     def test_commutative(self):
         rng = np.random.default_rng(3)
-        a, b = cam(rng.uniform(size=(4, 4))), cam(rng.uniform(size=(4, 4)))
-        np.testing.assert_array_equal(fuse_addition(a, b), fuse_addition(b, a))
+        a, b = rng.uniform(size=(4, 4)), rng.uniform(size=(4, 4))
+        np.testing.assert_array_equal(fuse("addition", a, b), fuse("addition", b, a))
 
 
 class TestActivityMap:
@@ -279,8 +280,8 @@ def per_class_map(sa, sb, c, config, single_branch):
             block_average(activity_map(sb), config.block_radius),
         )
         return wa * sa[c] + wb * sb[c]
-    fuse = fuse_max if config.strategy == "max" else fuse_addition
-    return fuse(normalize_minmax(sa[c]), normalize_minmax(sb[c]))
+    a, b = normalize_minmax(sa[c]).values, normalize_minmax(sb[c]).values
+    return np.maximum(a, b) if config.strategy == "max" else a + b
 
 
 class TestLocalizationMaps:
@@ -313,7 +314,10 @@ def zeros(*shape):
 @pytest.mark.parametrize(
     "call, match",
     [
-        pytest.param(lambda: fuse_addition(cam(zeros(2, 2)), cam(zeros(3, 2))), "mismatch", id="fuse-addition"),
+        pytest.param(
+            lambda: localization_map(zeros(1, 2, 2), zeros(1, 3, 2), 0, FusionConfig("addition")), "mismatch",
+            id="fuse-addition",
+        ),
         pytest.param(lambda: activity_map(zeros(4, 4)), r"\(C,h,w\) or \(S,C,h,w\)", id="activity-map-rank"),
         pytest.param(lambda: fusion_weights(zeros(2, 2), zeros(2, 3)), "mismatch", id="fusion-weights"),
         pytest.param(

@@ -2,6 +2,7 @@ import re
 import struct
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,18 +169,19 @@ class TestForward:
             misguided = forward(params, images, guide_class=(top1 + 1) % 4, mode=mode)
             assert not np.array_equal(unguided.score_maps_b.data, misguided.score_maps_b.data)
 
-    def test_all_ones_override_feeds_branch_b_raw_features(self):
+    def test_all_ones_override_feeds_branch_b_raw_features(self, monkeypatch):
         params = init_model(small_config())
         image = np.random.default_rng(3).uniform(size=(3, 32, 32)).astype(np.float32)
         ones = np.ones((1, 4, 4), dtype=np.float32)
-        art = forward(params, image, guide_class=0, guidance_override=ones)
+        monkeypatch.setattr(model, "_guidance_masks", lambda *args: ones)
+        art = forward(params, image, guide_class=0)
         assert art.guidance is ones
         features = backbone_forward(params, Tensor(image))
         scores_b, logits_b = head_forward(params, "branch_b", features)
         np.testing.assert_array_equal(art.score_maps_b.data[0], scores_b.data)
         np.testing.assert_array_equal(art.logits_b.data[0], logits_b.data)
 
-    def test_branch_symmetry_under_parameter_swap(self):
+    def test_branch_symmetry_under_parameter_swap(self, monkeypatch):
         params = init_model(small_config())
         swapped_tensors = {}
         for name, tensor in params.tensors.items():
@@ -191,9 +193,9 @@ class TestForward:
                 swapped_tensors[name] = tensor
         swapped = type(params)(swapped_tensors)
         image = np.random.default_rng(4).uniform(size=(3, 32, 32)).astype(np.float32)
-        ones = np.ones((1, 4, 4), dtype=np.float32)
-        original = forward(params, image, guide_class=0, guidance_override=ones)
-        mirrored = forward(swapped, image, guide_class=0, guidance_override=ones)
+        monkeypatch.setattr(model, "_guidance_masks", lambda *args: np.ones((1, 4, 4), dtype=np.float32))
+        original = forward(params, image, guide_class=0)
+        mirrored = forward(swapped, image, guide_class=0)
         np.testing.assert_array_equal(original.logits_a.data, mirrored.logits_b.data)
         np.testing.assert_array_equal(original.logits_b.data, mirrored.logits_a.data)
 
@@ -296,6 +298,17 @@ class TestPredictMaps:
         with pytest.raises(ValueError, match=re.escape(f"(N,3,H,W) stack with N >= 1, got shape {shape}")):
             call(init_model(small_config()), np.zeros(shape, dtype=np.float32))
 
+    @pytest.mark.parametrize("odd", [2, 5], ids=["same_chunk", "later_chunk"])
+    def test_mixed_image_sizes_are_refused_before_any_forward(self, monkeypatch, odd):
+        images = [np.zeros((3, 32, 32), dtype=np.float32)] * 7
+        images[odd] = np.zeros((3, 16, 16), dtype=np.float32)
+        calls = []
+        monkeypatch.setattr(model, "forward", lambda *args: calls.append(args) or forward(*args))
+        message = f"image {odd} has shape (3, 16, 16), but image 0 has shape (3, 32, 32)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            predict_maps(init_model(small_config()), images)
+        assert calls == []
+
 
 class TestDualBranchLoss:
     def test_uniform_logits(self):
@@ -376,6 +389,21 @@ class TestTrain:
     def test_empty_dataset_errors(self):
         with pytest.raises(ValueError, match="empty"):
             train(init_model(small_config()), [], TrainConfig())
+
+    # seed 1 shuffles sample 1 into image 0's chunk, and sample 8 into the
+    # second batch, after one SGD step
+    @pytest.mark.parametrize("odd", [1, 8], ids=["same_chunk", "later_chunk"])
+    def test_mixed_image_sizes_are_refused_before_any_step(self, odd):
+        train_split, _ = small_dataset(n_train=8)
+        odd_sample = replace(train_split[0], image=np.zeros((3, 16, 16), dtype=np.float32))
+        samples = train_split[:odd] + [odd_sample] + train_split[odd:]
+        params = init_model(small_config())
+        before = {name: t.data.copy() for name, t in params.tensors.items()}
+        message = f"image {odd} has shape (3, 16, 16), but image 0 has shape (3, 32, 32)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(params, samples, TrainConfig(epochs=1, batch_size=4, learning_rate=0.05, seed=1))
+        for name, tensor in params.tensors.items():
+            assert np.array_equal(tensor.data, before[name]), name
 
     def test_non_finite_loss_raises_numeric_error(self):
         train_split, _ = small_dataset(n_train=2)
