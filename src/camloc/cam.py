@@ -33,10 +33,11 @@ def normalize_minmax(m: CamMap | np.ndarray) -> CamMap:
     and the guided branch sees everything.
     """
     values = m.values if isinstance(m, CamMap) else np.asarray(m, dtype=np.float32)
-    if not np.isfinite(values).all():
-        raise ValueError("cannot normalize a map containing non-finite values")
     lo = values.min(axis=(-2, -1), keepdims=True)
     hi = values.max(axis=(-2, -1), keepdims=True)
+    # NaN propagates through min and max, and an infinity is a min or a max
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("cannot normalize a map containing non-finite values")
     out = values - lo
     # a constant map is already all zeros here; dividing by 1 keeps it so
     out /= np.where(hi == lo, 1, hi - lo)

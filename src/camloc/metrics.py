@@ -105,12 +105,12 @@ def extract_bboxes(maps: np.ndarray, tau: float) -> list[BBox]:
     mask = arr >= tau * arr.max(axis=(1, 2), keepdims=True)
 
     # row runs [start, end) in raster order; row r is row r % h of map r // h.
-    # Each padded row steps up where a run starts and down where it ends, so
-    # its nonzero steps alternate start, end.
+    # Each padded row changes value where a run starts and where it ends, so
+    # its steps alternate start, end.
     span = w + 1
-    padded = np.zeros((m * h, w + 2), dtype=np.int8)
+    padded = np.zeros((m * h, w + 2), dtype=bool)
     padded[:, 1:-1] = mask.reshape(m * h, w)
-    steps = np.flatnonzero(np.diff(padded, axis=1))
+    steps = np.flatnonzero(padded[:, 1:] != padded[:, :-1])
     row, start = np.divmod(steps[0::2], span)
     end = steps[1::2] - row * span
     owner = row // h

@@ -388,10 +388,9 @@ def bilinear_upsample(m: Tensor, out_h: int, out_w: int) -> Tensor:
 
     def bwd(g):
         # the map is separable, out = Ry @ m @ Rx.T, so its adjoint is
-        # Ry.T @ g @ Rx; each interpolation matrix is the kernel applied to
-        # the basis vectors of one axis
-        ry_t = upsample_bilinear(np.eye(h, dtype=np.float32)[:, :, None], out_h, 1)[:, :, 0]
-        rx_t = upsample_bilinear(np.eye(w, dtype=np.float32)[:, None, :], 1, out_w)[:, 0, :]
+        # Ry.T @ g @ Rx; each axis's Ry.T is its left + right weights
+        ry_t = np.add(*_interp_weights(h, out_h))
+        rx_t = np.add(*_interp_weights(w, out_w))
         return (ry_t @ g @ rx_t.T,)
 
     return _record(out, (m,), bwd)
@@ -401,31 +400,55 @@ def bilinear_upsample(m: Tensor, out_h: int, out_w: int) -> Tensor:
 # numpy kernels on a leading batch axis, behind the ops above and usable graph-free
 
 
+def _axis_coords(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Align-corners sampling of one axis: output c reads input i0[c] + f[c],
+    interpolating between i0[c] and i1[c]."""
+    if n_in == 1 or n_out == 1:
+        i0, f = np.zeros(n_out, dtype=np.intp), np.zeros(n_out, dtype=np.float32)
+    else:
+        src = np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
+        i0 = np.minimum(np.floor(src).astype(np.intp), n_in - 2)
+        f = (src - i0).astype(np.float32)
+    return i0, np.minimum(i0 + 1, n_in - 1), f
+
+
+@functools.lru_cache(maxsize=64)
+def _interp_weights(n_in: int, n_out: int) -> tuple[np.ndarray, np.ndarray]:
+    """One axis's interpolation weights as two read-only (n_in, n_out)
+    float32 matrices: ``left`` holds 1 - f[c] at row i0[c] of column c and
+    ``right`` holds f[c] at row i1[c] (:func:`_axis_coords`)."""
+    i0, i1, f = _axis_coords(n_in, n_out)
+    cols = np.arange(n_out)
+    left = np.zeros((n_in, n_out), dtype=np.float32)
+    right = np.zeros((n_in, n_out), dtype=np.float32)
+    left[i0, cols] = 1 - f
+    right[i1, cols] = f
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
+
+
 def upsample_bilinear(maps: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Align-corners bilinear upsampling of the last two axes of ``maps``;
-    any leading axes are carried along."""
+    any leading axes are carried along. The result is C-contiguous."""
     h, w = maps.shape[-2:]
     if out_h < h or out_w < w:
         raise ValueError(f"cannot shrink {h}x{w} to {out_h}x{out_w}")
-
-    def axis_coords(n_in: int, n_out: int):
-        if n_in == 1 or n_out == 1:
-            return np.zeros(n_out, dtype=np.intp), np.zeros(n_out, dtype=np.float32)
-        src = np.arange(n_out, dtype=np.float64) * (n_in - 1) / (n_out - 1)
-        i0 = np.minimum(np.floor(src).astype(np.intp), n_in - 2)
-        return i0, (src - i0).astype(np.float32)
-
-    y0, fy = axis_coords(h, out_h)
-    x0, fx = axis_coords(w, out_w)
-    x1 = np.minimum(x0 + 1, w - 1)
+    y0, y1, fy = _axis_coords(h, out_h)
+    left, right = _interp_weights(w, out_w)
     wy = fy[:, None]
-    wx = fx[None, :]
-    # rows first, then columns: two 1-d gathers beat one 2-d fancy index.
-    # The row weights go in before the column gather, on out_h x w instead of
-    # out_h x out_w; each term is still (value * row weight) * column weight.
-    top = maps[..., y0, :] * (1 - wy)
-    bottom = maps[..., np.minimum(y0 + 1, h - 1), :] * wy
-    return top[..., x0] * (1 - wx) + top[..., x1] * wx + bottom[..., x0] * (1 - wx) + bottom[..., x1] * wx
+    # rows by gather, columns by GEMM. The row weights go in first, on
+    # out_h x w instead of out_h x out_w. A column of ``left`` or ``right``
+    # has at most one nonzero, so each GEMM output is the one product
+    # (value * row weight) * column weight plus exact zeros: the same bits
+    # in any summation order, up to the sign of an exact zero. A non-finite
+    # value spreads along its output row, as inf * 0 is NaN.
+    top = (maps[..., y0, :] * (1 - wy)).reshape(-1, w)
+    bottom = (maps[..., y1, :] * wy).reshape(-1, w)
+    out = top @ left
+    out += top @ right
+    out += bottom @ left
+    out += bottom @ right
+    return out.reshape(*maps.shape[:-2], out_h, out_w)
 
 
 @functools.lru_cache(maxsize=64)

@@ -78,6 +78,15 @@ class TestNormalizeMinmax:
         with pytest.raises(ValueError, match="non-finite"):
             normalize_minmax(stack)
 
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf], ids=["nan", "-inf"])
+    def test_nan_or_negative_inf_in_last_map_errors(self, bad):
+        # with the +inf case above: the check reads each map's min and max,
+        # so every kind of bad value must surface there, in any map
+        stack = np.random.default_rng(5).normal(size=(2, 3, 4, 4)).astype(np.float32)
+        stack[-1, -1, 3, 2] = bad
+        with pytest.raises(ValueError, match="^cannot normalize a map containing non-finite values$"):
+            normalize_minmax(stack)
+
     @given(finite_maps)
     @settings(max_examples=50, deadline=None)
     def test_idempotent_unless_degenerate(self, values):

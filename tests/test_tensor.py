@@ -23,6 +23,7 @@ from camloc.tensor import (
     _im2col_same,
     _input_grad_same,
     _graph_order,
+    _interp_weights,
     _record,
     conv_pool_relu,
     maxpool2x2,
@@ -467,13 +468,32 @@ class TestBilinearUpsample:
     @pytest.mark.parametrize(
         "shape, out_hw",
         [((6, 8, 8), (64, 64)), ((2, 3, 4, 6), (9, 13)), ((5, 1, 7), (4, 19)), ((5, 7, 1), (11, 3)),
-         ((3, 1, 1), (6, 5)), ((1, 8), (1, 30)), ((8, 1), (30, 1)), ((4, 8), (12, 8))],
+         ((3, 1, 1), (6, 5)), ((1, 8), (1, 30)), ((8, 1), (30, 1)), ((4, 8), (12, 8)),
+         ((3, 5, 7), (23, 31)), ((2, 1, 9), (1, 33)), ((2, 9, 1), (33, 1)), ((3, 6, 5), (6, 5))],
     )
     def test_kernel_equals_four_term_formula_bit_for_bit(self, shape, out_hw):
-        maps = np.random.default_rng(sum(shape)).normal(size=shape).astype(np.float32)
-        out = upsample_bilinear(maps, *out_hw)
-        assert out.shape == shape[:-2] + out_hw
-        np.testing.assert_array_equal(out, oracles.upsample_bilinear_4term_ref(maps, *out_hw))
+        """Plain, zero-heavy (half of the values 0.0 or -0.0), clipped and
+        rectified maps all give the formula's values. The sign of an exact zero is not
+        pinned: ``assert_array_equal`` counts 0.0 and -0.0 as equal."""
+        rng = np.random.default_rng(sum(shape))
+        maps = rng.normal(size=shape).astype(np.float32)
+        zero_heavy = np.where(rng.random(shape) < 0.5, np.float32(0.0), maps)
+        zero_heavy[rng.random(shape) < 0.25] = -0.0
+        for m in (maps, zero_heavy, np.clip(maps, -0.25, 0.25), np.maximum(maps, 0)):
+            out = upsample_bilinear(m, *out_hw)
+            assert out.shape == shape[:-2] + out_hw
+            np.testing.assert_array_equal(out, oracles.upsample_bilinear_4term_ref(m, *out_hw))
+
+    def test_kernel_returns_c_contiguous_stack(self):
+        maps = np.random.default_rng(3).normal(size=(32, 8, 8)).astype(np.float32)
+        assert upsample_bilinear(maps, 64, 64).flags.c_contiguous
+
+    def test_interpolation_weights_are_read_only(self):
+        # the weights are cached, so a caller that wrote to them would
+        # change every later upsample of that size
+        for weights in _interp_weights(8, 64):
+            with pytest.raises(ValueError, match="read-only"):
+                weights[0, 0] = 2.0
 
     @pytest.mark.parametrize("hw, out_hw", [((4, 4), (9, 13)), ((1, 5), (3, 7)), ((6, 1), (6, 4)), ((3, 3), (3, 3))])
     def test_gradient_equals_dense_jacobian(self, hw, out_hw):
