@@ -9,7 +9,6 @@ from camloc import (
     block_average,
     class_map,
     complement,
-    fuse_l1norm,
     fusion_weights,
     localization_map,
     normalize_minmax,
@@ -37,6 +36,6 @@ activity_a = block_average(activity_map(score_a), radius=1)
 activity_b = block_average(activity_map(score_b), radius=1)
 weight_a, weight_b = fusion_weights(activity_a, activity_b)
 print("\nbranch A weight (its share of local activity):", weight_a, sep="\n")
-fused = fuse_l1norm(score_a, score_b, 0, FusionConfig("l1norm", block_radius=1))
+fused = localization_map(score_a, score_b, 0, FusionConfig("l1norm", block_radius=1))
 print("\nactivity-weighted fusion of the raw maps:", fused, sep="\n")
 print("\nnote: each fused pixel lies between the two branches' raw values (convex blend)")

@@ -31,12 +31,12 @@ report = train(
 )
 
 print("\nevaluating on the test split ...")
-for label, kwargs in (
-    ("branch A map alone", dict(single_branch=True)),
-    ("addition fusion   ", dict(fusion_config=FusionConfig("addition"))),
-    ("l1-norm fusion    ", dict(fusion_config=FusionConfig("l1norm"))),
+for label, strategy in (
+    ("branch A map alone", "single"),
+    ("addition fusion   ", "addition"),
+    ("l1-norm fusion    ", "l1norm"),
 ):
-    metrics, _ = evaluate(params, test_split, **kwargs)
+    metrics, _ = evaluate(params, test_split, FusionConfig(strategy))
     print(
         f"{label}: top-1 acc {100 - metrics.top1_cls_err:5.1f}%  "
         f"gt-known localization {metrics.gt_known_loc_acc:5.1f}%"

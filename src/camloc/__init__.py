@@ -2,9 +2,10 @@
 
 A small numpy library covering the full pipeline: a float32 autodiff core,
 a two-branch convolutional classifier whose second branch is guided by the
-complement of the first branch's class activation map, three map fusion
-strategies, box extraction and localization metrics, a synthetic dataset
-with exact ground-truth boxes, and a CLI to orchestrate it all.
+complement of the first branch's class activation map, four map readouts
+(three fusion strategies and the single-branch baseline), box extraction
+and localization metrics, a synthetic dataset with exact ground-truth
+boxes, and a CLI to orchestrate it all.
 """
 
 from .cam import CamMap, class_map, complement, normalize_minmax, threshold_erase
@@ -13,7 +14,6 @@ from .fusion import (
     FusionConfig,
     activity_map,
     block_average,
-    fuse_l1norm,
     fusion_weights,
     localization_map,
 )

@@ -19,7 +19,7 @@ import numpy as np
 
 from .cam import class_map, normalize_minmax
 from .data import DatasetConfig, Sample, generate_dataset, read_annotations, write_annotations
-from .fusion import STRATEGIES, FusionConfig
+from .fusion import VARIANTS, FusionConfig
 from .imageio import atomic_write, read_ppm, write_pgm, write_ppm
 from .metrics import BBOX_TAU, evaluate, localize, write_records
 from .model import (
@@ -61,7 +61,6 @@ class RunConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
     bbox_tau: float = BBOX_TAU
-    single_branch: bool = False
     sample_index: int = 0
     out_dir: str = "camloc_out"
 
@@ -91,12 +90,6 @@ class RunConfig:
 
 # ---------------------------------------------------------------------------
 # config file <-> RunConfig
-
-
-def _boolean(raw: str) -> bool:
-    if raw.lower() not in ("true", "false"):
-        raise ValueError(f"expected true/false, got '{raw}'")
-    return raw.lower() == "true"
 
 
 # The one config schema: each ``[section] key`` maps to its RunConfig attribute
@@ -129,7 +122,6 @@ _SCHEMA = {
     ("fusion", "strategy"): ("fusion.strategy", str, str),
     ("fusion", "block_radius"): ("fusion.block_radius", int, str),
     ("eval", "bbox_tau"): ("bbox_tau", float, repr),
-    ("eval", "single_branch"): ("single_branch", _boolean, lambda v: "true" if v else "false"),
     ("eval", "sample"): ("sample_index", int, str),
     ("output", "out_dir"): ("out_dir", str, str),
 }
@@ -141,7 +133,6 @@ _FLAG_PATHS = {
     "cam_mode": ("train.guidance_mode",),
     "erase_threshold": ("train.erase_threshold",),
     "bbox_tau": ("bbox_tau",),
-    "single_branch": ("single_branch",),
     "sample": ("sample_index",),
     "out": ("out_dir",),
 }
@@ -328,10 +319,8 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
         tau=cfg.bbox_tau,
         cam_mode=cfg.train.guidance_mode,
         erase_threshold=cfg.train.erase_threshold,
-        single_branch=cfg.single_branch,
     )
-    variant = "single" if cfg.single_branch else cfg.fusion.strategy
-    write_records(records, out / f"records_{cfg.train.guidance_mode}_{variant}.csv")
+    write_records(records, out / f"records_{cfg.train.guidance_mode}_{cfg.fusion.strategy}.csv")
     for name in ("top1_cls_err", "top5_cls_err", "top1_loc_err", "top5_loc_err", "gt_known_loc_acc"):
         print(f"{name}={getattr(report, name):.4f}")
 
@@ -359,7 +348,7 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     )
     predicted = int(ranking[0, 0])
     (box,), fused_full = localize(
-        score_a, score_b, [0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau, cfg.single_branch
+        score_a, score_b, [0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau
     )
     cam_a = normalize_minmax(class_map(score_a[0], predicted))
     cam_b = normalize_minmax(class_map(score_b[0], predicted))
@@ -398,11 +387,10 @@ def _build_parser() -> _ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--config", metavar="PATH", help="INI config file")
         p.add_argument("--seed", type=int, metavar="N", help="override dataset/model/train seeds")
-        p.add_argument("--strategy", choices=STRATEGIES, help="fusion strategy")
+        p.add_argument("--strategy", choices=VARIANTS, help="fusion strategy, or single for branch A alone")
         p.add_argument("--cam-mode", choices=GUIDANCE_MODES, help="guidance map type")
         p.add_argument("--erase-threshold", type=float, metavar="DELTA")
         p.add_argument("--bbox-tau", type=float, metavar="TAU", help="box binarization fraction")
-        p.add_argument("--single-branch", action="store_true", default=None, help="use branch A's map alone")
         p.add_argument("--sample", type=int, metavar="N", help="test-split sample index (visualize)")
         p.add_argument("--out", metavar="DIR", help="output directory")
     return parser

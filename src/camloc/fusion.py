@@ -1,22 +1,25 @@
 """Fusion strategies combining the two branches' maps into one localization map.
 
-Three strategies: pointwise max (erasing-baseline behaviour), pointwise
-addition, and activity-weighted blending where each branch's weight at a
-pixel is its share of the block-averaged channel-wise l1 activity.
-:func:`localization_maps` is the only code that fuses: :func:`localization_map`
-and :func:`fuse_l1norm` call it, and :func:`activity_map`,
-:func:`block_average` and :func:`fusion_weights` are its l1norm stages.
+Four readout variants: pointwise max (erasing-baseline behaviour), pointwise
+addition, activity-weighted blending where each branch's weight at a pixel
+is its share of the block-averaged channel-wise l1 activity, and "single",
+branch A's map alone, the no-fusion baseline. The first three fuse
+(``STRATEGIES``); ``VARIANTS`` adds "single". :func:`localization_maps` is
+the only code that reads a variant out: :func:`localization_map` calls it,
+and :func:`activity_map`, :func:`block_average` and :func:`fusion_weights`
+are its l1norm stages.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cam import normalize_minmax
 
 STRATEGIES = ("max", "addition", "l1norm")
+VARIANTS = (*STRATEGIES, "single")
 
 
 @dataclass
@@ -25,9 +28,9 @@ class FusionConfig:
     block_radius: int = 1
 
     def __post_init__(self):
-        if self.strategy not in STRATEGIES:
+        if self.strategy not in VARIANTS:
             raise ValueError(
-                f"unknown fusion strategy '{self.strategy}'; valid strategies: {', '.join(STRATEGIES)}"
+                f"unknown fusion strategy '{self.strategy}'; valid strategies: {', '.join(VARIANTS)}"
             )
         if self.block_radius < 0:
             raise ValueError(f"block radius must be >= 0, got {self.block_radius}")
@@ -83,25 +86,8 @@ def fusion_weights(a_activity: np.ndarray, b_activity: np.ndarray) -> tuple[np.n
     return wa, wb
 
 
-def fuse_l1norm(
-    score_maps_a: np.ndarray,
-    score_maps_b: np.ndarray,
-    class_index: int,
-    config: FusionConfig | None = None,
-) -> np.ndarray:
-    """Activity-weighted blend of the two branches' class channels.
-
-    Pipeline: channel-wise l1 activity -> block average -> weight ratio ->
-    weighted sum of the raw class channels. The result is pointwise a convex
-    combination of the two inputs.
-    """
-    config = config or FusionConfig(strategy="l1norm")
-    return localization_map(score_maps_a, score_maps_b, class_index, replace(config, strategy="l1norm"))
-
-
 def localization_maps(
-    score_maps_a: np.ndarray, score_maps_b: np.ndarray, samples, classes, config: FusionConfig,
-    single_branch: bool = False,
+    score_maps_a: np.ndarray, score_maps_b: np.ndarray, samples, classes, config: FusionConfig
 ) -> np.ndarray:
     """Final maps for box extraction, stacked (M,h,w): map k is class
     ``classes[k]`` of sample ``samples[k]`` of the (S,C,h,w) score maps.
@@ -110,8 +96,8 @@ def localization_maps(
     normalized per-class maps (raw scale must not let one branch dominate);
     l1norm weighting consumes the raw score maps, and its activity weights,
     computed once per sample, are shared by all of that sample's classes.
-    ``single_branch`` returns branch A's normalized maps alone, the
-    no-fusion baseline.
+    "single" returns branch A's normalized maps alone, the no-fusion
+    baseline.
     """
     sa = np.asarray(score_maps_a, dtype=np.float32)
     sb = np.asarray(score_maps_b, dtype=np.float32)
@@ -126,22 +112,21 @@ def localization_maps(
     bad = classes[(classes < 0) | (classes >= sa.shape[1])]
     if len(bad):
         raise IndexError(f"class {bad[0]} out of range for {sa.shape[1]} channels")
-    if config.strategy == "l1norm" and not single_branch:
+    if config.strategy == "l1norm":
         wa, wb = fusion_weights(
             block_average(activity_map(sa), config.block_radius),
             block_average(activity_map(sb), config.block_radius),
         )
         return wa[samples] * sa[samples, classes] + wb[samples] * sb[samples, classes]
     a = normalize_minmax(sa[samples, classes]).values
-    if single_branch:
+    if config.strategy == "single":
         return a
     b = normalize_minmax(sb[samples, classes]).values
     return np.maximum(a, b) if config.strategy == "max" else a + b
 
 
 def localization_map(
-    score_maps_a: np.ndarray, score_maps_b: np.ndarray, class_index: int, config: FusionConfig,
-    single_branch: bool = False,
+    score_maps_a: np.ndarray, score_maps_b: np.ndarray, class_index: int, config: FusionConfig
 ) -> np.ndarray:
     """Final map of one class of one sample's (C,h,w) score maps; see
     :func:`localization_maps`."""
@@ -149,4 +134,4 @@ def localization_map(
     if sa.ndim != 3:
         raise ValueError(f"score maps must be (C,h,w), got shape {sa.shape}")
     sb = np.asarray(score_maps_b, dtype=np.float32)
-    return localization_maps(sa[None], sb[None], [0], [class_index], config, single_branch)[0]
+    return localization_maps(sa[None], sb[None], [0], [class_index], config)[0]

@@ -25,12 +25,12 @@ from camloc import (
     dual_branch_loss,
     evaluate,
     forward,
-    fuse_l1norm,
     fusion_weights,
     generate_dataset,
     global_avg_pool,
     init_model,
     iou,
+    localization_map,
     maxpool2d,
     mul,
     normalize_minmax,
@@ -168,7 +168,7 @@ def test_criterion_2_fusion_oracles():
         np.testing.assert_allclose(wa[~live], 0.5)
 
     maps = rng.normal(size=(4, 8, 8)).astype(np.float32)
-    fused = fuse_l1norm(maps, maps, 2, FusionConfig("l1norm", block_radius=1))
+    fused = localization_map(maps, maps, 2, FusionConfig("l1norm", block_radius=1))
     np.testing.assert_allclose(fused, maps[2], atol=1e-6)
 
     out = block_average(np.ones((3, 3), dtype=np.float32), 1)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from camloc import cli, forward, load_checkpoint, read_pgm, read_ppm, save_checkpoint, write_ppm
 from camloc.cam import class_map, complement, normalize_minmax, threshold_erase
 from camloc.cli import RunConfig, main, parse_config_file, write_manifest
-from camloc.metrics import evaluate, localize
+from camloc.metrics import evaluate, localize, write_records
 from camloc.model import NumericError
 from camloc.tensor import upsample_bilinear
 
@@ -79,7 +79,6 @@ NON_DEFAULT = {
     ("fusion", "strategy"): ("l1norm", lambda c: c.fusion.strategy, "l1norm"),
     ("fusion", "block_radius"): ("2", lambda c: c.fusion.block_radius, 2),
     ("eval", "bbox_tau"): ("0.35", lambda c: c.bbox_tau, 0.35),
-    ("eval", "single_branch"): ("true", lambda c: c.single_branch, True),
     ("eval", "sample"): ("4", lambda c: c.sample_index, 4),
     # '%' is literal, not interpolation
     ("output", "out_dir"): ("runs/100%", lambda c: c.out_dir, "runs/100%"),
@@ -140,7 +139,7 @@ class TestConfigFile:
             (["--cam-mode", "threshold"], [("train", "guidance_mode")]),
             (["--erase-threshold", "0.3"], [("train", "erase_threshold")]),
             (["--bbox-tau", "0.4"], [("eval", "bbox_tau")]),
-            (["--single-branch"], [("eval", "single_branch")]),
+            (["--strategy", "single"], [("fusion", "strategy")]),
             (["--sample", "5"], [("eval", "sample")]),
         ],
     )
@@ -152,7 +151,7 @@ class TestConfigFile:
         after = manifest_entries((out / "manifest_gen-data.cfg").read_text())
         assert {k for k in before if before[k] != after[k]} == {*keys, ("output", "out_dir")}
         assert after["output", "out_dir"] == str(out)
-        assert {after[k] for k in keys} == {flag[1] if len(flag) > 1 else "true"}
+        assert {after[k] for k in keys} == {flag[1]}
 
     def test_readme_example_is_the_default_manifest(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -212,7 +211,8 @@ class TestConfigFile:
             ("[dataset]\nimage_size = 0\n", [], "image_size must be >= 1, got (0, 0)"),
             ("[dataset]\nimage_size = -8\n", [], "image_size must be >= 1, got (-8, -8)"),
             ("[eval]\nbbox_tau = 1.5\n", [], "bbox_tau must lie in (0, 1), got 1.5"),
-            ("[eval]\nsingle_branch = yes\n", [], "single_branch: expected true/false, got 'yes'"),
+            ("[eval]\nsingle_branch = true\n", [], "unknown config key [eval] single_branch"),
+            ("", ["--single-branch"], "unrecognized arguments: --single-branch"),
             ("[dataset]\nnum_classes = 1\n", [], "num_classes must be >= 2, got 1"),
             ("[dataset]\ntrain_samples = 0\n", [], "both splits need at least one sample"),
             ("[model]\nbackbone_channels = 8,0\n", [], "backbone_channels must be positive, got (8, 0)"),
@@ -221,8 +221,8 @@ class TestConfigFile:
         ],
         ids=[
             "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both",
-            "image-size-zero", "image-size-negative", "bbox-tau", "single-branch", "num-classes",
-            "train-samples", "backbone-channels", "batch-size", "sample-flag",
+            "image-size-zero", "image-size-negative", "bbox-tau", "single-branch", "single-branch-flag",
+            "num-classes", "train-samples", "backbone-channels", "batch-size", "sample-flag",
         ],
     )
     def test_invalid_setting_is_usage_error_before_any_work(self, capsys, tmp_path, text, flags, named):
@@ -476,7 +476,7 @@ def oracle_run(tmp_path):
 class TestEvalCommand:
     def test_oracle_model_reaches_perfect_gt_known(self, capsys, oracle_run):
         cfg_path, out = oracle_run
-        code = run("eval", "--config", cfg_path, "--out", str(out), "--single-branch", "--bbox-tau", "0.5")
+        code = run("eval", "--config", cfg_path, "--out", str(out), "--strategy", "single", "--bbox-tau", "0.5")
         assert code == 0
         metrics = dict(
             line.split("=") for line in capsys.readouterr().out.strip().splitlines() if "=" in line
@@ -498,6 +498,14 @@ class TestEvalCommand:
         assert len(fields) == 2 + 4 + 4 + 1
         assert fields[0] == "00000"
         assert fields[-1] in ("0", "1")
+
+    def test_single_strategy_records_equal_single_branch_evaluate(self, capsys, tmp_path, oracle_run):
+        cfg_path, out = oracle_run
+        assert run("eval", "--config", cfg_path, "--out", str(out), "--strategy", "single") == 0
+        cfg = replace(parse_config_file(cfg_path), out_dir=str(out))
+        _, records = evaluate(load_checkpoint(out / "checkpoint.bin"), cli._load_split(cfg, "test"), single_branch=True)
+        write_records(records, tmp_path / "expected.csv")
+        assert (out / "records_ccam_single.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
 
     def test_unknown_strategy_is_usage_error(self, capsys, oracle_run):
         cfg_path, out = oracle_run
@@ -816,6 +824,11 @@ class TestVisualizeCommand:
         cam_a = np.rint(read_pgm(out / "cam_a.pgm") * 255)
         assert np.abs(255 - cam_a - ccam).max() > 1
 
+    def test_single_strategy_writes_branch_a_map_as_fused(self, capsys, oracle_run):
+        cfg_path, out = oracle_run
+        assert run("visualize", "--config", cfg_path, "--out", str(out), "--strategy", "single") == 0
+        assert (out / "fused.pgm").read_bytes() == (out / "cam_a.pgm").read_bytes()
+
     def test_sample_out_of_range_is_data_error(self, capsys, oracle_run):
         cfg_path, out = oracle_run
         assert run("visualize", "--config", cfg_path, "--out", str(out), "--sample", "99") == 2
@@ -833,7 +846,7 @@ class TestVisualizeCommand:
 
 
 @pytest.mark.parametrize(
-    "flags", [["--strategy", "l1norm", "--bbox-tau", "0.35"], ["--single-branch", "--cam-mode", "threshold"]],
+    "flags", [["--strategy", "l1norm", "--bbox-tau", "0.35"], ["--strategy", "single", "--cam-mode", "threshold"]],
     ids=["l1norm", "single-branch"],
 )
 def test_visualize_boxes_what_evaluate_boxes(monkeypatch, oracle_run, flags):
@@ -849,7 +862,7 @@ def test_visualize_boxes_what_evaluate_boxes(monkeypatch, oracle_run, flags):
     cfg = cli._build_config(cli._build_parser().parse_args(["eval", *argv]))
     _, records = evaluate(
         params, cli._load_split(cfg, "test"), cfg.fusion, cfg.bbox_tau,
-        cfg.train.guidance_mode, cfg.train.erase_threshold, cfg.single_branch,
+        cfg.train.guidance_mode, cfg.train.erase_threshold,
     )
 
     asked = []

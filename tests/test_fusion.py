@@ -10,12 +10,11 @@ from camloc import (
     FusionConfig,
     activity_map,
     block_average,
-    fuse_l1norm,
     fusion_weights,
     localization_map,
     normalize_minmax,
 )
-from camloc.fusion import localization_maps
+from camloc.fusion import VARIANTS, localization_maps
 
 import oracles
 
@@ -166,7 +165,7 @@ class TestFuseL1norm:
     def test_identical_inputs_reproduce_channel(self):
         rng = np.random.default_rng(5)
         maps = rng.normal(size=(3, 6, 6)).astype(np.float32)
-        out = fuse_l1norm(maps, maps, 1, FusionConfig("l1norm", block_radius=1))
+        out = localization_map(maps, maps, 1, FusionConfig("l1norm", block_radius=1))
         np.testing.assert_allclose(out, maps[1], atol=1e-6)
 
     def test_zero_branch_b_hand_trace(self):
@@ -174,7 +173,7 @@ class TestFuseL1norm:
         # wherever it has any activity, 0.5 where both branches are dead.
         sa = np.array([[[1.0, -2.0], [0.0, 3.0]], [[0.0, 1.0], [1.0, -1.0]]], dtype=np.float32)
         sb = np.zeros_like(sa)
-        out = fuse_l1norm(sa, sb, 0, FusionConfig("l1norm", block_radius=0))
+        out = localization_map(sa, sb, 0, FusionConfig("l1norm", block_radius=0))
         np.testing.assert_allclose(out, sa[0], atol=1e-7)
         ref = oracles.l1norm_fusion_ref(sa, sb, 0, 0)
         np.testing.assert_allclose(out, ref, atol=1e-6)
@@ -186,7 +185,7 @@ class TestFuseL1norm:
         sa2, sb2 = sa.copy(), sb.copy()
         sa2[2] *= 2.5
         sb2[2] *= 2.5
-        out = fuse_l1norm(sa2, sb2, 2, FusionConfig("l1norm", block_radius=1))
+        out = localization_map(sa2, sb2, 2, FusionConfig("l1norm", block_radius=1))
         ref = oracles.l1norm_fusion_ref(sa2, sb2, 2, 1)
         np.testing.assert_allclose(out, ref, atol=1e-5)
 
@@ -195,14 +194,14 @@ class TestFuseL1norm:
         for radius in (0, 1, 2):
             sa = rng.normal(size=(3, 6, 6)).astype(np.float32)
             sb = rng.normal(size=(3, 6, 6)).astype(np.float32)
-            out = fuse_l1norm(sa, sb, 0, FusionConfig("l1norm", block_radius=radius))
+            out = localization_map(sa, sb, 0, FusionConfig("l1norm", block_radius=radius))
             np.testing.assert_allclose(out, oracles.l1norm_fusion_ref(sa, sb, 0, radius), atol=1e-5)
 
     def test_convex_combination_bounds(self):
         rng = np.random.default_rng(8)
         sa = rng.normal(size=(3, 5, 5)).astype(np.float32)
         sb = rng.normal(size=(3, 5, 5)).astype(np.float32)
-        out = fuse_l1norm(sa, sb, 1, FusionConfig("l1norm"))
+        out = localization_map(sa, sb, 1, FusionConfig("l1norm"))
         lo = np.minimum(sa[1], sb[1]) - 1e-5
         hi = np.maximum(sa[1], sb[1]) + 1e-5
         assert (out >= lo).all()
@@ -213,19 +212,22 @@ class TestFuseL1norm:
         sa = rng.normal(size=(3, 5, 5)).astype(np.float32)
         sb = rng.normal(size=(3, 5, 5)).astype(np.float32)
         np.testing.assert_allclose(
-            fuse_l1norm(sa, sb, 0, FusionConfig("l1norm")),
-            fuse_l1norm(sb, sa, 0, FusionConfig("l1norm")),
+            localization_map(sa, sb, 0, FusionConfig("l1norm")),
+            localization_map(sb, sa, 0, FusionConfig("l1norm")),
             atol=1e-6,
         )
 
     def test_class_out_of_range(self):
         maps = np.zeros((2, 3, 3), dtype=np.float32)
         with pytest.raises(IndexError):
-            fuse_l1norm(maps, maps, 2, FusionConfig("l1norm"))
+            localization_map(maps, maps, 2, FusionConfig("l1norm"))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            fuse_l1norm(np.zeros((2, 3, 3), dtype=np.float32), np.zeros((2, 4, 3), dtype=np.float32), 0)
+            localization_map(
+                np.zeros((2, 3, 3), dtype=np.float32), np.zeros((2, 4, 3), dtype=np.float32), 0,
+                FusionConfig("l1norm"),
+            )
 
 
 class TestFusionConfig:
@@ -255,7 +257,7 @@ class TestLocalizationMap:
         rng = np.random.default_rng(11)
         sa = rng.normal(size=(3, 4, 4)).astype(np.float32)
         sb = rng.normal(size=(3, 4, 4)).astype(np.float32)
-        out = localization_map(sa, sb, 2, FusionConfig("addition"), single_branch=True)
+        out = localization_map(sa, sb, 2, FusionConfig("single"))
         expected = normalize_minmax(sa[2]).values
         np.testing.assert_array_equal(out, expected)
 
@@ -270,9 +272,9 @@ class TestLocalizationMap:
         np.testing.assert_allclose(out, a_norm + b_norm, atol=1e-6)
 
 
-def per_class_map(sa, sb, c, config, single_branch):
+def per_class_map(sa, sb, c, config):
     """One class's map computed on its own, the way localization ran per class."""
-    if single_branch:
+    if config.strategy == "single":
         return normalize_minmax(sa[c]).values
     if config.strategy == "l1norm":
         wa, wb = fusion_weights(
@@ -285,21 +287,19 @@ def per_class_map(sa, sb, c, config, single_branch):
 
 
 class TestLocalizationMaps:
-    @pytest.mark.parametrize(
-        "strategy, single", [("max", False), ("addition", False), ("l1norm", False), ("l1norm", True)]
-    )
-    def test_equals_per_class_maps_bit_for_bit(self, strategy, single):
+    @pytest.mark.parametrize("strategy", VARIANTS)
+    def test_equals_per_class_maps_bit_for_bit(self, strategy):
         rng = np.random.default_rng(13)
         sa = rng.normal(size=(3, 6, 8, 8)).astype(np.float32)
         sb = rng.normal(size=(3, 6, 8, 8)).astype(np.float32)
         config = FusionConfig(strategy)
         samples, classes = [0, 0, 2, 1, 2, 0], [4, 0, 5, 2, 4, 5]
-        maps = localization_maps(sa, sb, samples, classes, config, single)
+        maps = localization_maps(sa, sb, samples, classes, config)
         assert maps.shape == (6, 8, 8)
         for k, (s, c) in enumerate(zip(samples, classes)):
-            expected = per_class_map(sa[s], sb[s], c, config, single)
+            expected = per_class_map(sa[s], sb[s], c, config)
             np.testing.assert_array_equal(maps[k], expected)
-            np.testing.assert_array_equal(localization_map(sa[s], sb[s], c, config, single), expected)
+            np.testing.assert_array_equal(localization_map(sa[s], sb[s], c, config), expected)
 
     def test_class_out_of_range(self):
         maps = np.zeros((2, 3, 4, 4), dtype=np.float32)

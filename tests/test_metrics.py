@@ -23,8 +23,9 @@ from camloc import (
     write_records,
 )
 from camloc import metrics
+from camloc.fusion import STRATEGIES, VARIANTS
 from camloc.metrics import gt_known_correct, localization_flags
-from camloc.model import predict_maps
+from camloc.model import GUIDANCE_MODES, predict_maps
 from camloc.tensor import upsample_bilinear
 
 import oracles
@@ -306,8 +307,8 @@ class TestEvaluate:
     def test_oracle_model_localizes_everything(self):
         samples = tiny_dataset()
         params = oracles.objectness_params()
-        for kwargs in (dict(single_branch=True), dict(fusion_config=FusionConfig("addition"))):
-            report, records = evaluate(params, samples, tau=0.5, **kwargs)
+        for strategy in ("single", "addition"):
+            report, records = evaluate(params, samples, FusionConfig(strategy), tau=0.5)
             assert report.gt_known_loc_acc == 100.0
             assert len(records) == len(samples)
             assert all(len(r.predicted) == 4 for r in records)
@@ -315,8 +316,8 @@ class TestEvaluate:
     def test_metrics_orderings(self):
         samples = tiny_dataset()
         params = oracles.objectness_params()
-        for single in (False, True):
-            report, _ = evaluate(params, samples, FusionConfig("l1norm"), tau=0.35, single_branch=single)
+        for strategy in ("l1norm", "single"):
+            report, _ = evaluate(params, samples, FusionConfig(strategy), tau=0.35)
             assert report.top1_cls_err >= report.top5_cls_err
             assert report.top1_loc_err >= report.top5_loc_err
             assert report.top1_loc_err >= report.top1_cls_err
@@ -359,7 +360,7 @@ class TestEvaluate:
             assert len(record.ious) == len(record.predicted) == len(record.boxes)
 
 
-def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
+def evaluate_per_sample(params, samples, config, tau, mode):
     """Records the way evaluation ran before batching: one autograd forward
     pass per sample, then one fused map, upsampling and box per class, with
     the per-map box extraction and 4-term upsampling of ``oracles``."""
@@ -371,7 +372,7 @@ def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
             preds = [int(c) for c in np.argsort(-mean_logits, kind="stable")[:5]]
 
             def box(c):
-                fused = localization_map(art.score_maps_a.data[0], art.score_maps_b.data[0], c, config, single_branch)
+                fused = localization_map(art.score_maps_a.data[0], art.score_maps_b.data[0], c, config)
                 full = oracles.upsample_bilinear_4term_ref(fused, *sample.image.shape[1:])
                 return oracles.extract_bbox_ref(normalize_minmax(full).values, tau)
 
@@ -382,25 +383,36 @@ def evaluate_per_sample(params, samples, config, tau, mode, single_branch):
     return records
 
 
+def seven_class_split():
+    """Ten test samples of seven classes and a random-init model for them."""
+    dataset = DatasetConfig(
+        num_classes=7, train_samples=1, test_samples=10, image_size=(32, 32),
+        seed=4, head_size=(5, 6), body_size=(9, 12),
+    )
+    params = init_model(ModelConfig(7, backbone_channels=(8, 8, 8), head_width=8, seed=2))
+    return params, generate_dataset(dataset)[1]
+
+
 class TestEvaluateMatchesPerSample:
     """Seven classes, so top-5 leaves classes out and the ground-truth class
     is sometimes a sixth candidate map; ten samples span two localize
     windows, the second of them short."""
 
-    @pytest.mark.parametrize(
-        "mode, strategy, single",
-        [(m, s, False) for m in ("ccam", "threshold") for s in ("max", "addition", "l1norm")]
-        + [("ccam", "addition", True)],
-    )
-    def test_records_equal_per_sample_oracle(self, mode, strategy, single):
-        dataset = DatasetConfig(
-            num_classes=7, train_samples=1, test_samples=10, image_size=(32, 32),
-            seed=4, head_size=(5, 6), body_size=(9, 12),
-        )
-        samples = generate_dataset(dataset)[1]
-        params = init_model(ModelConfig(7, backbone_channels=(8, 8, 8), head_width=8, seed=2))
+    @pytest.mark.parametrize("mode, strategy", [(m, s) for m in GUIDANCE_MODES for s in VARIANTS])
+    def test_records_equal_per_sample_oracle(self, mode, strategy):
+        params, samples = seven_class_split()
         config = FusionConfig(strategy)
-        report, records = evaluate(params, samples, config, tau=0.3, cam_mode=mode, single_branch=single)
-        assert records == evaluate_per_sample(params, samples, config, 0.3, mode, single)
+        report, records = evaluate(params, samples, config, tau=0.3, cam_mode=mode)
+        assert records == evaluate_per_sample(params, samples, config, 0.3, mode)
         assert any(r.true_class not in r.predicted for r in records)  # a ragged chunk: 6 maps for one sample
         assert report.n_samples == 10
+
+
+@pytest.mark.parametrize("radius", [0, 2])
+def test_single_branch_reads_out_single_whatever_the_strategy(radius):
+    params, samples = seven_class_split()
+    expected = evaluate(params, samples, FusionConfig("single"), tau=0.3)
+    for strategy in STRATEGIES:
+        config = FusionConfig(strategy, block_radius=radius)
+        assert evaluate(params, samples, config, tau=0.3, single_branch=True) == expected
+        assert evaluate(params, samples, config, tau=0.3) != expected  # the override changes the readout
