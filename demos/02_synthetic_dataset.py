@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from camloc import DatasetConfig, generate_dataset, write_annotations, write_ppm
+from camloc.data import NOISE_AMPLITUDE
 
 out = Path("demo_out/dataset")
 out.mkdir(parents=True, exist_ok=True)
@@ -31,4 +32,4 @@ print(f"\nwrote {len(rows)} images + annotations.csv to {out}/")
 labels = [s.label for s in train_split]
 print(f"labels are assigned round-robin: {labels}")
 print(f"pixel range: [{train_split[0].image.min():.3f}, {train_split[0].image.max():.3f}]")
-print(f"noise ceiling {config.noise_amplitude}: object pixels stand clear of it by design")
+print(f"noise ceiling {NOISE_AMPLITUDE}: object pixels stand clear of it by design")

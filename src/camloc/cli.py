@@ -105,7 +105,6 @@ _SCHEMA = {
     ("dataset", "head_max"): ("dataset.head_size.1", int, str),
     ("dataset", "body_min"): ("dataset.body_size.0", int, str),
     ("dataset", "body_max"): ("dataset.body_size.1", int, str),
-    ("dataset", "noise_amplitude"): ("dataset.noise_amplitude", float, repr),
     ("model", "backbone_channels"): (
         "backbone_channels",
         lambda raw: tuple(int(p) for p in raw.split(",")),
@@ -117,7 +116,6 @@ _SCHEMA = {
     ("train", "batch_size"): ("train.batch_size", int, str),
     ("train", "learning_rate"): ("train.learning_rate", float, repr),
     ("train", "guidance_mode"): ("train.guidance_mode", str, str),
-    ("train", "erase_threshold"): ("train.erase_threshold", float, repr),
     ("train", "seed"): ("train.seed", int, str),
     ("fusion", "strategy"): ("fusion.strategy", str, str),
     ("fusion", "block_radius"): ("fusion.block_radius", int, str),
@@ -131,7 +129,6 @@ _FLAG_PATHS = {
     "seed": ("dataset.seed", "model_seed", "train.seed"),
     "strategy": ("fusion.strategy",),
     "cam_mode": ("train.guidance_mode",),
-    "erase_threshold": ("train.erase_threshold",),
     "bbox_tau": ("bbox_tau",),
     "sample": ("sample_index",),
     "out": ("out_dir",),
@@ -318,7 +315,6 @@ def cmd_eval(cfg: RunConfig, out: Path) -> None:
         fusion_config=cfg.fusion,
         tau=cfg.bbox_tau,
         cam_mode=cfg.train.guidance_mode,
-        erase_threshold=cfg.train.erase_threshold,
     )
     write_records(records, out / f"records_{cfg.train.guidance_mode}_{cfg.fusion.strategy}.csv")
     for name in ("top1_cls_err", "top5_cls_err", "top1_loc_err", "top5_loc_err", "gt_known_loc_acc"):
@@ -343,9 +339,7 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     sample = _read_sample(cfg, directory, rows[cfg.sample_index])
     height, width = sample.image.shape[1:]
 
-    score_a, score_b, ranking, guidance = predict_maps(
-        params, [sample.image], cfg.train.guidance_mode, cfg.train.erase_threshold
-    )
+    score_a, score_b, ranking, guidance = predict_maps(params, [sample.image], cfg.train.guidance_mode)
     predicted = int(ranking[0, 0])
     (box,), fused_full = localize(
         score_a, score_b, [0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau
@@ -389,7 +383,6 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N", help="override dataset/model/train seeds")
         p.add_argument("--strategy", choices=VARIANTS, help="fusion strategy, or single for branch A alone")
         p.add_argument("--cam-mode", choices=GUIDANCE_MODES, help="guidance map type")
-        p.add_argument("--erase-threshold", type=float, metavar="DELTA")
         p.add_argument("--bbox-tau", type=float, metavar="TAU", help="box binarization fraction")
         p.add_argument("--sample", type=int, metavar="N", help="test-split sample index (visualize)")
         p.add_argument("--out", metavar="DIR", help="output directory")

@@ -205,7 +205,6 @@ def evaluate(
     fusion_config: fusion_mod.FusionConfig | None = None,
     tau: float = BBOX_TAU,
     cam_mode: str = TrainConfig.guidance_mode,
-    erase_threshold: float = TrainConfig.erase_threshold,
     single_branch: bool = False,
 ) -> tuple[MetricsReport, list[EvalRecord]]:
     """Run classification + localization evaluation over an annotated dataset:
@@ -230,7 +229,7 @@ def evaluate(
         if sample.gt_box is None:
             raise ValueError(f"sample {index:05d} is missing a ground-truth box")
 
-    score_a, score_b, ranking, _ = predict_maps(params, [sample.image for sample in samples], cam_mode, erase_threshold)
+    score_a, score_b, ranking, _ = predict_maps(params, [sample.image for sample in samples], cam_mode)
     size = samples[0].image.shape[1:]
     records: list[EvalRecord] = []
     for start in range(0, len(samples), EVAL_CHUNK):

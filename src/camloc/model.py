@@ -39,6 +39,10 @@ from .tensor import (
 
 GUIDANCE_MODES = ("ccam", "threshold")
 
+# δ of the erasing baseline (ACoL): threshold guidance erases the cells
+# whose normalized guide-class map reaches it
+ERASE_THRESHOLD = 0.6
+
 # samples per training graph: each chunk is one forward and backward pass
 TRAIN_CHUNK = 4
 
@@ -79,7 +83,6 @@ class TrainConfig:
     batch_size: int = 16
     learning_rate: float = 0.1
     guidance_mode: str = "ccam"
-    erase_threshold: float = 0.6
     seed: int = 7
 
     def __post_init__(self):
@@ -95,8 +98,6 @@ class TrainConfig:
             raise ValueError(
                 f"unknown guidance mode '{self.guidance_mode}'; valid: {', '.join(GUIDANCE_MODES)}"
             )
-        if not 0.0 < self.erase_threshold < 1.0:
-            raise ValueError(f"erase_threshold must lie in (0, 1), got {self.erase_threshold}")
 
 
 class ModelParams:
@@ -211,21 +212,17 @@ def head_forward(params: ModelParams, branch: str, features: Tensor) -> tuple[Te
     return scores, global_avg_pool(scores)
 
 
-def _guidance_masks(score_maps_a: np.ndarray, guides, mode: str, erase_threshold: float) -> np.ndarray:
+def _guidance_masks(score_maps_a: np.ndarray, guides, mode: str) -> np.ndarray:
     """(N,h,w) guidance from (C,N,h,w) branch-A maps: each sample's guide
     class map, normalized, then complemented (ccam) or thresholded."""
     if not np.isfinite(score_maps_a).all():
         raise NumericError("non-finite branch_a score maps")
     cam = normalize_minmax(score_maps_a[guides, np.arange(score_maps_a.shape[1])])
-    return (complement(cam) if mode == "ccam" else threshold_erase(cam, erase_threshold)).values
+    return (complement(cam) if mode == "ccam" else threshold_erase(cam, ERASE_THRESHOLD)).values
 
 
 def forward(
-    params: ModelParams,
-    image,
-    guide_class=None,
-    mode: str = TrainConfig.guidance_mode,
-    erase_threshold: float = TrainConfig.erase_threshold,
+    params: ModelParams, image, guide_class=None, mode: str = TrainConfig.guidance_mode
 ) -> ForwardArtifacts:
     """Full two-branch forward pass over an (N,3,H,W) image stack; a
     (3,H,W) image is the N=1 stack.
@@ -260,7 +257,7 @@ def forward(
             raise ValueError(f"{len(guides)} guide classes for {n} images")
         if guides.min() < 0 or guides.max() >= params.num_classes:
             raise IndexError(f"guide class {guide_class} out of range for {params.num_classes} classes")
-    guidance = _guidance_masks(score_maps_a.data, guides, mode, erase_threshold)
+    guidance = _guidance_masks(score_maps_a.data, guides, mode)
 
     # Branch B reads the shared features but does not train them: letting
     # both cross-entropy terms pull on one trunk destabilizes small-scale
@@ -285,10 +282,7 @@ def _check_same_shape(images) -> None:
             raise ValueError(f"image {index} has shape {np.shape(image)}, but image 0 has shape {first}")
 
 
-def predict_maps(
-    params: ModelParams, images,
-    mode: str = TrainConfig.guidance_mode, erase_threshold: float = TrainConfig.erase_threshold,
-):
+def predict_maps(params: ModelParams, images, mode: str = TrainConfig.guidance_mode):
     """Graph-free inference pass over a sequence of (3,H,W) float32 images,
     such as a list or an (N,3,H,W) array; the only code that batches
     inference.
@@ -315,7 +309,7 @@ def predict_maps(
     parts = []
     with no_grad(), np.errstate(all="ignore"):
         for start in range(0, len(images), TRAIN_CHUNK):
-            art = forward(params, np.stack(images[start : start + TRAIN_CHUNK]), None, mode, erase_threshold)
+            art = forward(params, np.stack(images[start : start + TRAIN_CHUNK]), None, mode)
             parts.append(
                 (art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data, art.guidance)
             )
@@ -336,9 +330,7 @@ def _train_chunk(params: ModelParams, images: np.ndarray, labels: np.ndarray, co
     """Forward and backward over one chunk, guided by the labels; gradients
     accumulate into the parameters. Returns the chunk's loss sum and each
     branch's top-1 hits. The chunk's graph is freed on return."""
-    art = forward(
-        params, images, guide_class=labels, mode=config.guidance_mode, erase_threshold=config.erase_threshold
-    )
+    art = forward(params, images, guide_class=labels, mode=config.guidance_mode)
     loss = dual_branch_loss(art.logits_a, art.logits_b, labels)
     backward(loss)
     hits_a = int((np.argmax(art.logits_a.data, axis=1) == labels).sum())

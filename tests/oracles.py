@@ -279,10 +279,7 @@ def per_sample_sgd_step(params, samples, config):
 
     trainable = params.trainable()
     for sample in samples:
-        art = forward(
-            params, sample.image, guide_class=sample.label,
-            mode=config.guidance_mode, erase_threshold=config.erase_threshold,
-        )
+        art = forward(params, sample.image, guide_class=sample.label, mode=config.guidance_mode)
         backward(dual_branch_loss(art.logits_a, art.logits_b, sample.label))
     for p in trainable:
         p.grad *= np.float32(1.0 / len(samples))

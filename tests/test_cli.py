@@ -66,7 +66,6 @@ NON_DEFAULT = {
     ("dataset", "head_max"): ("15", lambda c: c.dataset.head_size, (8, 15)),
     ("dataset", "body_min"): ("16", lambda c: c.dataset.body_size, (16, 32)),
     ("dataset", "body_max"): ("40", lambda c: c.dataset.body_size, (20, 40)),
-    ("dataset", "noise_amplitude"): ("0.25", lambda c: c.dataset.noise_amplitude, 0.25),
     ("model", "backbone_channels"): ("8,16", lambda c: c.backbone_channels, (8, 16)),
     ("model", "head_width"): ("32", lambda c: c.head_width, 32),
     ("model", "seed"): ("5", lambda c: c.model_seed, 5),
@@ -74,7 +73,6 @@ NON_DEFAULT = {
     ("train", "batch_size"): ("8", lambda c: c.train.batch_size, 8),
     ("train", "learning_rate"): ("0.03", lambda c: c.train.learning_rate, 0.03),
     ("train", "guidance_mode"): ("threshold", lambda c: c.train.guidance_mode, "threshold"),
-    ("train", "erase_threshold"): ("0.45", lambda c: c.train.erase_threshold, 0.45),
     ("train", "seed"): ("9", lambda c: c.train.seed, 9),
     ("fusion", "strategy"): ("l1norm", lambda c: c.fusion.strategy, "l1norm"),
     ("fusion", "block_radius"): ("2", lambda c: c.fusion.block_radius, 2),
@@ -137,7 +135,6 @@ class TestConfigFile:
             (["--seed", "13"], [("dataset", "seed"), ("model", "seed"), ("train", "seed")]),
             (["--strategy", "max"], [("fusion", "strategy")]),
             (["--cam-mode", "threshold"], [("train", "guidance_mode")]),
-            (["--erase-threshold", "0.3"], [("train", "erase_threshold")]),
             (["--bbox-tau", "0.4"], [("eval", "bbox_tau")]),
             (["--strategy", "single"], [("fusion", "strategy")]),
             (["--sample", "5"], [("eval", "sample")]),
@@ -213,6 +210,9 @@ class TestConfigFile:
             ("[eval]\nbbox_tau = 1.5\n", [], "bbox_tau must lie in (0, 1), got 1.5"),
             ("[eval]\nsingle_branch = true\n", [], "unknown config key [eval] single_branch"),
             ("", ["--single-branch"], "unrecognized arguments: --single-branch"),
+            ("[train]\nerase_threshold = 0.6\n", [], "unknown config key [train] erase_threshold"),
+            ("[dataset]\nnoise_amplitude = 0.1\n", [], "unknown config key [dataset] noise_amplitude"),
+            ("", ["--erase-threshold", "0.5"], "unrecognized arguments: --erase-threshold 0.5"),
             ("[dataset]\nnum_classes = 1\n", [], "num_classes must be >= 2, got 1"),
             ("[dataset]\ntrain_samples = 0\n", [], "both splits need at least one sample"),
             ("[model]\nbackbone_channels = 8,0\n", [], "backbone_channels must be positive, got (8, 0)"),
@@ -222,6 +222,7 @@ class TestConfigFile:
         ids=[
             "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both",
             "image-size-zero", "image-size-negative", "bbox-tau", "single-branch", "single-branch-flag",
+            "erase-threshold", "noise-amplitude", "erase-threshold-flag",
             "num-classes", "train-samples", "backbone-channels", "batch-size", "sample-flag",
         ],
     )
@@ -860,10 +861,7 @@ def test_visualize_boxes_what_evaluate_boxes(monkeypatch, oracle_run, flags):
     save_checkpoint(params, out / "checkpoint.bin")
     argv = ["--config", cfg_path, *flags, "--out", str(out)]
     cfg = cli._build_config(cli._build_parser().parse_args(["eval", *argv]))
-    _, records = evaluate(
-        params, cli._load_split(cfg, "test"), cfg.fusion, cfg.bbox_tau,
-        cfg.train.guidance_mode, cfg.train.erase_threshold,
-    )
+    _, records = evaluate(params, cli._load_split(cfg, "test"), cfg.fusion, cfg.bbox_tau, cfg.train.guidance_mode)
 
     asked = []
 

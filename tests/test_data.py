@@ -42,10 +42,6 @@ class TestDatasetConfig:
         with pytest.raises(ValueError, match=r"image_size must be >= 1, got \(64, 0\)"):
             DatasetConfig(image_size=(64, 0))
 
-    def test_noise_amplitude_range(self):
-        with pytest.raises(ValueError, match="noise_amplitude"):
-            DatasetConfig(noise_amplitude=1.0)
-
 
 class TestGenerateDataset:
     def test_same_config_bit_identical(self):

@@ -133,14 +133,14 @@ class TestForward:
         # everything through to branch B.
         scores = branch_a_maps(init_model(small_config()), np.zeros((1, 3, 32, 32), dtype=np.float32))
         for mode in ("ccam", "threshold"):
-            masks = model._guidance_masks(scores, np.array([1]), mode, 0.6)
+            masks = model._guidance_masks(scores, np.array([1]), mode)
             np.testing.assert_array_equal(masks, np.ones((1, 4, 4)))
 
     def test_guidance_always_in_unit_interval(self):
         images = np.random.default_rng(0).uniform(size=(5, 3, 32, 32)).astype(np.float32)
         scores = branch_a_maps(init_model(small_config()), images)
         for mode in ("ccam", "threshold"):
-            masks = model._guidance_masks(scores, np.zeros(5, dtype=int), mode, 0.6)
+            masks = model._guidance_masks(scores, np.zeros(5, dtype=int), mode)
             assert masks.shape == (5, 4, 4)
             assert masks.min() >= 0.0
             assert masks.max() <= 1.0
@@ -148,7 +148,7 @@ class TestForward:
     def test_threshold_guidance_is_binary(self):
         images = np.random.default_rng(1).uniform(size=(1, 3, 32, 32)).astype(np.float32)
         scores = branch_a_maps(init_model(small_config()), images)
-        masks = model._guidance_masks(scores, np.array([0]), "threshold", 0.6)
+        masks = model._guidance_masks(scores, np.array([0]), "threshold")
         assert set(np.unique(masks)) <= {0.0, 1.0}
 
     def test_guide_class_out_of_range(self):
@@ -518,10 +518,6 @@ class TestTrainConfig:
     def test_non_finite_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate must be finite"):
             TrainConfig(learning_rate=lr)
-
-    def test_threshold_range(self):
-        with pytest.raises(ValueError, match="erase_threshold"):
-            TrainConfig(erase_threshold=1.0)
 
 
 class TestCheckpoint:
