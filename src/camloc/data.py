@@ -53,6 +53,17 @@ class DatasetConfig:
                 f"heads must be smaller than bodies, got head up to {self.head_size[1]} "
                 f"and body down to {self.body_size[0]}"
             )
+        # the widest reach of any draw on an axis: the largest body with the
+        # largest head on that axis, whose centre is then at most
+        # body/2 + max(head/2 - 1, 0) from the body's (see _make_sample)
+        body, head = self.body_size[1], self.head_size[1]
+        reach = body / 2.0 + head / 2.0 + max(head / 2.0 - 1.0, 0.0)
+        first, last = _centre_range(min(self.image_size), -body / 2.0, reach)
+        if first > last:
+            raise ValueError(
+                f"shapes cannot fit inside a {self.image_size[1]}x{self.image_size[0]} image "
+                f"(body up to {body}, head up to {head})"
+            )
 
 
 @dataclass
@@ -66,6 +77,12 @@ def head_palette(num_classes: int) -> np.ndarray:
     """Evenly spaced saturated hues, one per class, as (C,3) float32 RGB."""
     colors = [colorsys.hsv_to_rgb(k / num_classes, 0.85, 0.95) for k in range(num_classes)]
     return np.asarray(colors, dtype=np.float32)
+
+
+def _centre_range(size: int, lo: float, hi: float) -> tuple[int, int]:
+    """First and last centre on an axis of ``size`` pixels that keeps a shape
+    spanning [lo, hi] about its centre inside, a pixel from either edge."""
+    return int(np.ceil(-lo)) + 1, int(np.floor(size - 1 - hi)) - 1
 
 
 def _make_sample(rng: np.random.Generator, index: int, config: DatasetConfig, palette: np.ndarray) -> Sample:
@@ -87,19 +104,9 @@ def _make_sample(rng: np.random.Generator, index: int, config: DatasetConfig, pa
     head_dx = offset * np.cos(theta)
     head_dy = offset * np.sin(theta)
 
-    span_x_lo = min(-a, head_dx - head / 2.0)
-    span_x_hi = max(a, head_dx + head / 2.0)
-    span_y_lo = min(-b, head_dy - head / 2.0)
-    span_y_hi = max(b, head_dy + head / 2.0)
-    cx_min = int(np.ceil(-span_x_lo)) + 1
-    cx_max = int(np.floor(width - 1 - span_x_hi)) - 1
-    cy_min = int(np.ceil(-span_y_lo)) + 1
-    cy_max = int(np.floor(height - 1 - span_y_hi)) - 1
-    if cx_min > cx_max or cy_min > cy_max:
-        raise ValueError(
-            f"shapes cannot fit inside a {width}x{height} image "
-            f"(body {body_w}x{body_h}, head {head})"
-        )
+    # DatasetConfig refuses a geometry where any draw leaves either range empty
+    cx_min, cx_max = _centre_range(width, min(-a, head_dx - head / 2.0), max(a, head_dx + head / 2.0))
+    cy_min, cy_max = _centre_range(height, min(-b, head_dy - head / 2.0), max(b, head_dy + head / 2.0))
     cx = int(rng.integers(cx_min, cx_max, endpoint=True))
     cy = int(rng.integers(cy_min, cy_max, endpoint=True))
 

@@ -60,7 +60,7 @@ NON_DEFAULT = {
     ("dataset", "num_classes"): ("6", lambda c: c.dataset.num_classes, 6),
     ("dataset", "train_samples"): ("100", lambda c: c.dataset.train_samples, 100),
     ("dataset", "test_samples"): ("50", lambda c: c.dataset.test_samples, 50),
-    ("dataset", "image_size"): ("32", lambda c: c.dataset.image_size, (32, 32)),
+    ("dataset", "image_size"): ("96", lambda c: c.dataset.image_size, (96, 96)),
     ("dataset", "seed"): ("11", lambda c: c.dataset.seed, 11),
     ("dataset", "head_min"): ("9", lambda c: c.dataset.head_size, (9, 12)),
     ("dataset", "head_max"): ("15", lambda c: c.dataset.head_size, (8, 15)),
@@ -207,6 +207,7 @@ class TestConfigFile:
             ("[model]\nhead_width = 0\n[dataset]\nimage_size = 60\n", [], "head_width must be >= 1"),
             ("[dataset]\nimage_size = 0\n", [], "image_size must be >= 1, got (0, 0)"),
             ("[dataset]\nimage_size = -8\n", [], "image_size must be >= 1, got (-8, -8)"),
+            ("[dataset]\nimage_size = 44\n", [], "shapes cannot fit inside a 44x44 image"),
             ("[eval]\nbbox_tau = 1.5\n", [], "bbox_tau must lie in (0, 1), got 1.5"),
             ("[eval]\nsingle_branch = true\n", [], "unknown config key [eval] single_branch"),
             ("", ["--single-branch"], "unrecognized arguments: --single-branch"),
@@ -221,7 +222,7 @@ class TestConfigFile:
         ],
         ids=[
             "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both",
-            "image-size-zero", "image-size-negative", "bbox-tau", "single-branch", "single-branch-flag",
+            "image-size-zero", "image-size-negative", "image-size-too-small", "bbox-tau", "single-branch", "single-branch-flag",
             "erase-threshold", "noise-amplitude", "erase-threshold-flag",
             "num-classes", "train-samples", "backbone-channels", "batch-size", "sample-flag",
         ],
@@ -289,11 +290,14 @@ def test_manifest_written_only_on_success(tmp_path, pipeline_run, command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_failing_command_creates_no_out_directory(capsys, tmp_path, command):
-    # gen-data fails while generating (no body fits a 16x16 image); the
-    # others find no dataset or checkpoint in the mistyped workspace
+    # gen-data is refused when its configuration is built (no body fits a
+    # 16x16 image); the others find no dataset or checkpoint in the
+    # mistyped workspace
     path = tmp_path / "tiny.cfg"
-    path.write_text("[dataset]\nimage_size = 16\n\n[model]\nbackbone_channels = 4\n")
-    assert run(command, "--config", str(path), "--out", str(tmp_path / "typo" / "run")) == 2
+    size = 16 if command == "gen-data" else 64
+    path.write_text(f"[dataset]\nimage_size = {size}\n\n[model]\nbackbone_channels = 4\n")
+    expected = 1 if command == "gen-data" else 2
+    assert run(command, "--config", str(path), "--out", str(tmp_path / "typo" / "run")) == expected
     assert capsys.readouterr().err.startswith("error: ")
     assert list(tmp_path.iterdir()) == [path]
 

@@ -24,9 +24,9 @@ def small_config(**overrides):
     return DatasetConfig(**defaults)
 
 
-def object_mask(image, noise_amplitude=0.1):
+def object_mask(image):
     """Pixel-scan oracle: object pixels clear the noise ceiling by design."""
-    return image.max(axis=0) > noise_amplitude + 0.1
+    return image.max(axis=0) > data.NOISE_AMPLITUDE + 0.1
 
 
 class TestDatasetConfig:
@@ -83,9 +83,23 @@ class TestGenerateDataset:
             assert 0 <= box.y_min < box.y_max <= 64
 
     def test_shapes_cannot_fit_errors(self):
-        config = small_config(image_size=(32, 32), body_size=(28, 30), head_size=(10, 12))
         with pytest.raises(ValueError, match="cannot fit"):
-            generate_dataset(config)
+            small_config(image_size=(32, 32), body_size=(28, 30), head_size=(10, 12))
+
+    def test_a_geometry_is_refused_or_generates_at_every_seed(self):
+        # at the default object sizes the largest body with the largest head
+        # needs 46 pixels; draws that happen to be smaller must not decide
+        accepted = set()
+        for size in range(40, 49):
+            for seed in range(8):
+                try:
+                    config = small_config(image_size=(size, size), train_samples=100, test_samples=100, seed=seed)
+                except ValueError as exc:
+                    assert "cannot fit" in str(exc)
+                    continue
+                generate_dataset(config)
+                accepted.add(size)
+        assert accepted == {46, 47, 48}
 
     def test_permuted_palette_permutes_head_colors_only(self, monkeypatch):
         config = small_config()
