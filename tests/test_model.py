@@ -449,11 +449,11 @@ class TestTrain:
         assert len(report.losses) == len(report.acc_a) == len(report.acc_b) == 3
 
 
-class TestTrainWorkspace:
+class TestTrainChunks:
     """``train`` equals its chunk loop written out; 30 samples at batch 16
     give chunks of 4, 4, 4, 4 and then 4, 4, 4, 2."""
 
-    def test_equals_a_loop_of_chunks_without_the_workspace(self, tmp_path):
+    def test_equals_its_chunk_loop_written_out(self, tmp_path):
         train_split, _ = small_dataset(n_train=30)
         config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, seed=4)
         initial = init_model(small_config())

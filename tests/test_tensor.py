@@ -227,10 +227,10 @@ class TestConv2d:
         np.testing.assert_array_equal(x.data, x_before)
 
 
-class TestWorkspace:
-    """No buffer workspace pools im2col columns: each call allocates its own."""
+class TestIm2colColumns:
+    """No buffer pool holds im2col columns: each call allocates its own."""
 
-    def test_columns_come_from_the_active_workspace_only(self):
+    def test_each_call_allocates_its_own_columns(self):
         x = np.random.default_rng(3).normal(size=(2, 3, 4, 5)).astype(np.float32)
         first, held = _im2col_same(x, 3, 3, 1), _im2col_same(x, 3, 3, 1)
         assert not np.shares_memory(first, held)
