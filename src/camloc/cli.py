@@ -23,6 +23,7 @@ from .fusion import VARIANTS, FusionConfig
 from .imageio import atomic_write, read_ppm, write_pgm, write_ppm
 from .metrics import BBOX_TAU, evaluate, localize, write_records
 from .model import (
+    BACKBONE_CHANNELS,
     GUIDANCE_MODES,
     CheckpointError,
     ModelConfig,
@@ -55,8 +56,6 @@ class DataError(Exception):
 @dataclass
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
-    backbone_channels: tuple[int, ...] = ModelConfig.backbone_channels
-    head_width: int = ModelConfig.head_width
     model_seed: int = ModelConfig.seed
     train: TrainConfig = field(default_factory=TrainConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
@@ -65,7 +64,6 @@ class RunConfig:
     out_dir: str = "camloc_out"
 
     def __post_init__(self):
-        self.backbone_channels = tuple(self.backbone_channels)
         if not 0.0 < self.bbox_tau < 1.0:
             raise ValueError(f"bbox_tau must lie in (0, 1), got {self.bbox_tau}")
         if self.sample_index < 0:
@@ -73,19 +71,14 @@ class RunConfig:
         # INI strips a value's outer whitespace and reads a line break as a continuation
         if self.out_dir != self.out_dir.strip() or "\n" in self.out_dir or "\r" in self.out_dir:
             raise ValueError(f"out_dir {self.out_dir!r} has outer whitespace or a line break")
-        self.model_config()  # a model the dataset cannot feed is refused here
-        divisor = 2 ** len(self.backbone_channels)
+        self.model_config()  # a negative model seed is refused here
+        divisor = 2 ** len(BACKBONE_CHANNELS)
         h, w = self.dataset.image_size
         if h % divisor or w % divisor:
             raise ValueError(f"image size {h}x{w} must be divisible by {divisor} (one 2x2 pool per backbone block)")
 
     def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            num_classes=self.dataset.num_classes,
-            backbone_channels=self.backbone_channels,
-            head_width=self.head_width,
-            seed=self.model_seed,
-        )
+        return ModelConfig(num_classes=self.dataset.num_classes, seed=self.model_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +98,6 @@ _SCHEMA = {
     ("dataset", "head_max"): ("dataset.head_size.1", int, str),
     ("dataset", "body_min"): ("dataset.body_size.0", int, str),
     ("dataset", "body_max"): ("dataset.body_size.1", int, str),
-    ("model", "backbone_channels"): (
-        "backbone_channels",
-        lambda raw: tuple(int(p) for p in raw.split(",")),
-        lambda v: ",".join(str(c) for c in v),
-    ),
-    ("model", "head_width"): ("head_width", int, str),
     ("model", "seed"): ("model_seed", int, str),
     ("train", "epochs"): ("train.epochs", int, str),
     ("train", "batch_size"): ("train.batch_size", int, str),

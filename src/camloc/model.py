@@ -39,6 +39,11 @@ from .tensor import (
 
 GUIDANCE_MODES = ("ccam", "threshold")
 
+# the architecture: one conv/pool block per backbone width, then two 3x3
+# head convs of HEAD_WIDTH channels per branch
+BACKBONE_CHANNELS = (16, 32, 64)
+HEAD_WIDTH = 64
+
 # δ of the erasing baseline (ACoL): threshold guidance erases the cells
 # whose normalized guide-class map reaches it
 ERASE_THRESHOLD = 0.6
@@ -61,18 +66,11 @@ class CheckpointError(Exception):
 @dataclass
 class ModelConfig:
     num_classes: int
-    backbone_channels: tuple[int, ...] = (16, 32, 64)
-    head_width: int = 64
     seed: int = 7
 
     def __post_init__(self):
-        self.backbone_channels = tuple(self.backbone_channels)
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if not self.backbone_channels or any(c < 1 for c in self.backbone_channels):
-            raise ValueError(f"backbone_channels must be positive, got {self.backbone_channels}")
-        if self.head_width < 1:
-            raise ValueError(f"head_width must be >= 1, got {self.head_width}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -116,10 +114,6 @@ class ModelParams:
     def num_classes(self) -> int:
         return self.tensors["branch_a.score.weight"].shape[0]
 
-    @property
-    def num_backbone_blocks(self) -> int:
-        return sum(1 for name in self.tensors if name.startswith("backbone.") and name.endswith(".weight"))
-
     def clone(self) -> "ModelParams":
         return ModelParams({name: Tensor(t.data.copy(), grad_enabled=True) for name, t in self.tensors.items()})
 
@@ -158,13 +152,13 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
         shapes[f"{name}.bias"] = (shape[0],)
 
     in_ch = 3
-    for i, out_ch in enumerate(config.backbone_channels):
+    for i, out_ch in enumerate(BACKBONE_CHANNELS):
         conv_param(f"backbone.{i}", (out_ch, in_ch, 3, 3))
         in_ch = out_ch
     for branch in ("branch_a", "branch_b"):
-        conv_param(f"{branch}.conv1", (config.head_width, config.backbone_channels[-1], 3, 3))
-        conv_param(f"{branch}.conv2", (config.head_width, config.head_width, 3, 3))
-        conv_param(f"{branch}.score", (config.num_classes, config.head_width, 1, 1))
+        conv_param(f"{branch}.conv1", (HEAD_WIDTH, BACKBONE_CHANNELS[-1], 3, 3))
+        conv_param(f"{branch}.conv2", (HEAD_WIDTH, HEAD_WIDTH, 3, 3))
+        conv_param(f"{branch}.score", (config.num_classes, HEAD_WIDTH, 1, 1))
     return shapes
 
 
@@ -197,7 +191,7 @@ def backbone_forward(params: ModelParams, image: Tensor) -> Tensor:
     the gradients are the same as with relu before the pool.
     """
     h = image
-    for i in range(params.num_backbone_blocks):
+    for i in range(len(BACKBONE_CHANNELS)):
         weight = params[f"backbone.{i}.weight"]
         h = conv_pool_relu(h, weight, params[f"backbone.{i}.bias"], weight.shape[2] // 2)
     return h
@@ -295,11 +289,13 @@ def predict_maps(params: ModelParams, images, mode: str = TrainConfig.guidance_m
     Non-finite maps raise :class:`NumericError`, so numpy's floating-point
     warnings on the way there are silenced.
 
-    At most ``TRAIN_CHUNK`` images are stacked and run through ``forward``
+    Exactly ``TRAIN_CHUNK`` images are stacked and run through ``forward``
     at a time, so the im2col columns of inference are never larger than
-    those of training. Every sample's result is the same bits at any split.
-    Images of different shapes are refused with a ``ValueError`` before the
-    first chunk runs.
+    those of training. A short last chunk is padded by repeating its last
+    image, and the padding's rows are dropped: BLAS may round a stack of
+    one differently from a stack of four, so with one stack shape every
+    sample's result is the same bits at any split. Images of different
+    shapes are refused with a ``ValueError`` before the first chunk runs.
     """
     if not len(images) or np.ndim(images[0]) != 3:
         raise ValueError(
@@ -309,10 +305,11 @@ def predict_maps(params: ModelParams, images, mode: str = TrainConfig.guidance_m
     parts = []
     with no_grad(), np.errstate(all="ignore"):
         for start in range(0, len(images), TRAIN_CHUNK):
-            art = forward(params, np.stack(images[start : start + TRAIN_CHUNK]), None, mode)
-            parts.append(
-                (art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data, art.guidance)
-            )
+            chunk = list(images[start : start + TRAIN_CHUNK])
+            n = len(chunk)
+            art = forward(params, np.stack(chunk + chunk[-1:] * (TRAIN_CHUNK - n)), None, mode)
+            arrays = (art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data, art.guidance)
+            parts.append([array[:n] for array in arrays])
     scores_a, scores_b, logits_a, logits_b, guidance = (np.concatenate(arrays) for arrays in zip(*parts))
     for branch, scores, logits in (("branch_a", scores_a, logits_a), ("branch_b", scores_b, logits_b)):
         if not (np.isfinite(scores).all() and np.isfinite(logits).all()):

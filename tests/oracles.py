@@ -290,8 +290,9 @@ def per_sample_sgd_step(params, samples, config):
 # hand-built model whose score maps respond to object brightness
 
 
-def objectness_params(num_classes=4, channels=(4, 4, 4), head_width=4):
-    """Weights that pass object brightness through channel 0 everywhere.
+def objectness_params(num_classes=4):
+    """Weights of the model's architecture that pass object brightness
+    through channel 0 everywhere.
 
     The first conv averages the input and subtracts the noise floor, so
     after relu only object pixels stay positive; later layers pass channel
@@ -300,10 +301,11 @@ def objectness_params(num_classes=4, channels=(4, 4, 4), head_width=4):
     map highlights the object tightly.
     """
     from camloc import ModelParams, Tensor
+    from camloc.model import BACKBONE_CHANNELS, HEAD_WIDTH
 
     tensors = {}
     in_ch = 3
-    for i, out_ch in enumerate(channels):
+    for i, out_ch in enumerate(BACKBONE_CHANNELS):
         weight = np.zeros((out_ch, in_ch, 3, 3), dtype=np.float32)
         bias = np.zeros(out_ch, dtype=np.float32)
         if i == 0:
@@ -315,16 +317,16 @@ def objectness_params(num_classes=4, channels=(4, 4, 4), head_width=4):
         tensors[f"backbone.{i}.bias"] = Tensor(bias, grad_enabled=True)
         in_ch = out_ch
     for branch in ("branch_a", "branch_b"):
-        conv1 = np.zeros((head_width, channels[-1], 3, 3), dtype=np.float32)
+        conv1 = np.zeros((HEAD_WIDTH, BACKBONE_CHANNELS[-1], 3, 3), dtype=np.float32)
         conv1[0, 0, 1, 1] = 1.0
-        conv2 = np.zeros((head_width, head_width, 3, 3), dtype=np.float32)
+        conv2 = np.zeros((HEAD_WIDTH, HEAD_WIDTH, 3, 3), dtype=np.float32)
         conv2[0, 0, 1, 1] = 1.0
-        score = np.zeros((num_classes, head_width, 1, 1), dtype=np.float32)
+        score = np.zeros((num_classes, HEAD_WIDTH, 1, 1), dtype=np.float32)
         score[:, 0, 0, 0] = 1.0
         tensors[f"{branch}.conv1.weight"] = Tensor(conv1, grad_enabled=True)
-        tensors[f"{branch}.conv1.bias"] = Tensor(np.zeros(head_width, dtype=np.float32), grad_enabled=True)
+        tensors[f"{branch}.conv1.bias"] = Tensor(np.zeros(HEAD_WIDTH, dtype=np.float32), grad_enabled=True)
         tensors[f"{branch}.conv2.weight"] = Tensor(conv2, grad_enabled=True)
-        tensors[f"{branch}.conv2.bias"] = Tensor(np.zeros(head_width, dtype=np.float32), grad_enabled=True)
+        tensors[f"{branch}.conv2.bias"] = Tensor(np.zeros(HEAD_WIDTH, dtype=np.float32), grad_enabled=True)
         tensors[f"{branch}.score.weight"] = Tensor(score, grad_enabled=True)
         tensors[f"{branch}.score.bias"] = Tensor(np.zeros(num_classes, dtype=np.float32), grad_enabled=True)
     return ModelParams(tensors)

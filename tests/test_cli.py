@@ -35,8 +35,6 @@ body_min = 9
 body_max = 12
 
 [model]
-backbone_channels = 8,8,8
-head_width = 8
 seed = 3
 
 [train]
@@ -66,8 +64,6 @@ NON_DEFAULT = {
     ("dataset", "head_max"): ("15", lambda c: c.dataset.head_size, (8, 15)),
     ("dataset", "body_min"): ("16", lambda c: c.dataset.body_size, (16, 32)),
     ("dataset", "body_max"): ("40", lambda c: c.dataset.body_size, (20, 40)),
-    ("model", "backbone_channels"): ("8,16", lambda c: c.backbone_channels, (8, 16)),
-    ("model", "head_width"): ("32", lambda c: c.head_width, 32),
     ("model", "seed"): ("5", lambda c: c.model_seed, 5),
     ("train", "epochs"): ("3", lambda c: c.train.epochs, 3),
     ("train", "batch_size"): ("8", lambda c: c.train.batch_size, 8),
@@ -139,6 +135,7 @@ class TestConfigFile:
             (["--strategy", "single"], [("fusion", "strategy")]),
             (["--sample", "5"], [("eval", "sample")]),
         ],
+        ids=["seed", "strategy-max", "cam-mode", "bbox-tau", "strategy-single", "sample"],
     )
     def test_flag_overrides_its_keys(self, tmp_path, small_cfg_file, flag, keys):
         write_manifest(parse_config_file(small_cfg_file), tmp_path / "file.cfg")
@@ -202,9 +199,8 @@ class TestConfigFile:
             ("[dataset]\nseed = -1\n", [], "seed must be >= 0, got -1"),
             ("[model]\nseed = -1\n", [], "seed must be >= 0, got -1"),
             ("[train]\nseed = -1\n", [], "seed must be >= 0, got -1"),
-            ("[model]\nhead_width = 0\n", [], "head_width must be >= 1"),
+            ("[model]\nhead_width = 64\n", [], "unknown config key [model] head_width"),
             ("[dataset]\nimage_size = 60\n", [], "image size 60x60 must be divisible by 8"),
-            ("[model]\nhead_width = 0\n[dataset]\nimage_size = 60\n", [], "head_width must be >= 1"),
             ("[dataset]\nimage_size = 0\n", [], "image_size must be >= 1, got (0, 0)"),
             ("[dataset]\nimage_size = -8\n", [], "image_size must be >= 1, got (-8, -8)"),
             ("[dataset]\nimage_size = 44\n", [], "shapes cannot fit inside a 44x44 image"),
@@ -216,12 +212,12 @@ class TestConfigFile:
             ("", ["--erase-threshold", "0.5"], "unrecognized arguments: --erase-threshold 0.5"),
             ("[dataset]\nnum_classes = 1\n", [], "num_classes must be >= 2, got 1"),
             ("[dataset]\ntrain_samples = 0\n", [], "both splits need at least one sample"),
-            ("[model]\nbackbone_channels = 8,0\n", [], "backbone_channels must be positive, got (8, 0)"),
+            ("[model]\nbackbone_channels = 16,32,64\n", [], "unknown config key [model] backbone_channels"),
             ("[train]\nbatch_size = 0\n", [], "batch_size must be >= 1, got 0"),
             ("", ["--sample", "-1"], "sample index must be >= 0, got -1"),
         ],
         ids=[
-            "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size", "both",
+            "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size",
             "image-size-zero", "image-size-negative", "image-size-too-small", "bbox-tau", "single-branch", "single-branch-flag",
             "erase-threshold", "noise-amplitude", "erase-threshold-flag",
             "num-classes", "train-samples", "backbone-channels", "batch-size", "sample-flag",
@@ -295,7 +291,7 @@ def test_failing_command_creates_no_out_directory(capsys, tmp_path, command):
     # mistyped workspace
     path = tmp_path / "tiny.cfg"
     size = 16 if command == "gen-data" else 64
-    path.write_text(f"[dataset]\nimage_size = {size}\n\n[model]\nbackbone_channels = 4\n")
+    path.write_text(f"[dataset]\nimage_size = {size}\n")
     expected = 1 if command == "gen-data" else 2
     assert run(command, "--config", str(path), "--out", str(tmp_path / "typo" / "run")) == expected
     assert capsys.readouterr().err.startswith("error: ")
@@ -469,8 +465,6 @@ def oracle_run(tmp_path):
     cfg_text = SMALL_CONFIG.replace("image_size = 32", "image_size = 64")
     cfg_text = cfg_text.replace("head_min = 5", "head_min = 10").replace("head_max = 6", "head_max = 12")
     cfg_text = cfg_text.replace("body_min = 9", "body_min = 28").replace("body_max = 12", "body_max = 32")
-    cfg_text = cfg_text.replace("backbone_channels = 8,8,8", "backbone_channels = 4,4,4")
-    cfg_text = cfg_text.replace("head_width = 8", "head_width = 4")
     cfg_path = tmp_path / "oracle.cfg"
     cfg_path.write_text(cfg_text)
     assert run("gen-data", "--config", str(cfg_path), "--out", str(out)) == 0
@@ -552,7 +546,7 @@ class TestEvalCommand:
         save_checkpoint(params, out / "checkpoint.bin")
         assert run("eval", "--config", cfg_path, "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert "branch_a.conv1.weight has shape (4, 3, 3, 3)" in err and "(4, 4, 3, 3)" in err
+        assert "branch_a.conv1.weight has shape (4, 3, 3, 3)" in err and "(64, 64, 3, 3)" in err
 
     def test_non_finite_weight_is_numeric_failure(self, capsys, oracle_run):
         cfg_path, out = oracle_run

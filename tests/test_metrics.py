@@ -389,7 +389,7 @@ def seven_class_split():
         num_classes=7, train_samples=1, test_samples=10, image_size=(32, 32),
         seed=4, head_size=(5, 6), body_size=(9, 12),
     )
-    params = init_model(ModelConfig(7, backbone_channels=(8, 8, 8), head_width=8, seed=2))
+    params = init_model(ModelConfig(7, seed=2))
     return params, generate_dataset(dataset)[1]
 
 

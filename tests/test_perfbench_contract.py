@@ -9,6 +9,10 @@ same object as its source, and every traced benchmark run would then fail.
 ``fusion.STRATEGIES``, so a program change could reshape that workload, and
 move its ms/sample, without a line of the benchmark changing. The checks
 below pin its shape.
+
+``tracer.CONV_LAYERS`` names each conv by its (in, out, kernel) shape, so a
+change to ``model.BACKBONE_CHANNELS`` or ``model.HEAD_WIDTH`` would file its
+time under ``tensor.conv2d.other`` and zero the per-layer conv metrics.
 """
 
 import importlib.util
@@ -19,6 +23,7 @@ import numpy as np
 import pytest
 
 from camloc.fusion import FusionConfig
+from camloc.model import ModelConfig, param_shapes
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -59,3 +64,9 @@ def test_eval_grid_counts_one_sample_per_key_and_test_sample(workloads, tmp_path
 def test_tracer_names_the_single_readout(tracer):
     maps = np.zeros((2, 4, 4), dtype=np.float32)
     assert tracer._fusion_name((maps, maps, 0, FusionConfig("single")), {}) == "fusion.localization_map.single"
+
+
+def test_tracer_names_every_conv_of_the_architecture(tracer):
+    weights = [shape for name, shape in param_shapes(ModelConfig(4)).items() if name.endswith(".weight")]
+    names = {tracer._conv_name((None, np.zeros(shape, dtype=np.float32)), {}) for shape in weights}
+    assert names == {f"tensor.conv2d.{layer}" for layer in ("b0", "b1", "b2", "head", "score")}
