@@ -14,6 +14,7 @@ from camloc import (
     normalize_minmax,
     threshold_erase,
 )
+from camloc.fusion import BLOCK_RADIUS
 
 np.set_printoptions(precision=2, suppress=True, linewidth=120)
 
@@ -24,18 +25,18 @@ score_b = np.zeros((2, 5, 5), dtype=np.float32)
 score_b[0, 2:5, 2:5] = 2.0
 
 cam_a = normalize_minmax(class_map(score_a, 0))
-print("branch A map (normalized):", cam_a.values, sep="\n")
-print("\ncomplement (what branch B is told to look at):", complement(cam_a).values, sep="\n")
-print("\nthreshold-erased variant (delta=0.6):", threshold_erase(cam_a, 0.6).values, sep="\n")
+print("branch A map (normalized):", cam_a, sep="\n")
+print("\ncomplement (what branch B is told to look at):", complement(cam_a), sep="\n")
+print("\nthreshold-erased variant (delta=0.6):", threshold_erase(cam_a, 0.6), sep="\n")
 
 print("\n--- fusion strategies ---")
 print("max:", localization_map(score_a, score_b, 0, FusionConfig("max")), sep="\n")
 print("\naddition:", localization_map(score_a, score_b, 0, FusionConfig("addition")), sep="\n")
 
-activity_a = block_average(activity_map(score_a), radius=1)
-activity_b = block_average(activity_map(score_b), radius=1)
+activity_a = block_average(activity_map(score_a), radius=BLOCK_RADIUS)
+activity_b = block_average(activity_map(score_b), radius=BLOCK_RADIUS)
 weight_a, weight_b = fusion_weights(activity_a, activity_b)
 print("\nbranch A weight (its share of local activity):", weight_a, sep="\n")
-fused = localization_map(score_a, score_b, 0, FusionConfig("l1norm", block_radius=1))
+fused = localization_map(score_a, score_b, 0, FusionConfig("l1norm"))
 print("\nactivity-weighted fusion of the raw maps:", fused, sep="\n")
 print("\nnote: each fused pixel lies between the two branches' raw values (convex blend)")

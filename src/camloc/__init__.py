@@ -8,7 +8,7 @@ and localization metrics, a synthetic dataset with exact ground-truth
 boxes, and a CLI to orchestrate it all.
 """
 
-from .cam import CamMap, class_map, complement, normalize_minmax, threshold_erase
+from .cam import class_map, complement, normalize_minmax, threshold_erase
 from .data import DatasetConfig, Sample, generate_dataset, head_palette, read_annotations, write_annotations
 from .fusion import (
     FusionConfig,

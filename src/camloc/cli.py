@@ -105,7 +105,6 @@ _SCHEMA = {
     ("train", "guidance_mode"): ("train.guidance_mode", str, str),
     ("train", "seed"): ("train.seed", int, str),
     ("fusion", "strategy"): ("fusion.strategy", str, str),
-    ("fusion", "block_radius"): ("fusion.block_radius", int, str),
     ("eval", "bbox_tau"): ("bbox_tau", float, repr),
     ("eval", "sample"): ("sample_index", int, str),
     ("output", "out_dir"): ("out_dir", str, str),
@@ -333,7 +332,7 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     )
     cam_a = normalize_minmax(class_map(score_a[0], predicted))
     cam_b = normalize_minmax(class_map(score_b[0], predicted))
-    maps = upsample_bilinear(np.stack([cam_a.values, guidance[0], cam_b.values]), height, width)
+    maps = upsample_bilinear(np.stack([cam_a, guidance[0], cam_b]), height, width)
     for name, values in zip(("cam_a", "ccam", "cam_b"), maps):
         write_pgm(values, out / f"{name}.pgm")
     write_pgm(fused_full[0], out / "fused.pgm")

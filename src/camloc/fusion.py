@@ -2,12 +2,13 @@
 
 Four readout variants: pointwise max (erasing-baseline behaviour), pointwise
 addition, activity-weighted blending where each branch's weight at a pixel
-is its share of the block-averaged channel-wise l1 activity, and "single",
-branch A's map alone, the no-fusion baseline. The first three fuse
-(``STRATEGIES``); ``VARIANTS`` adds "single". :func:`localization_maps` is
-the only code that reads a variant out: :func:`localization_map` calls it,
-and :func:`activity_map`, :func:`block_average` and :func:`fusion_weights`
-are its l1norm stages.
+is its share of the channel-wise l1 activity averaged over the fixed 3x3
+block around it (``BLOCK_RADIUS``), and "single", branch A's map alone, the
+no-fusion baseline. The first three fuse (``STRATEGIES``); ``VARIANTS`` adds
+"single". :func:`localization_maps` is the only code that reads a variant
+out: :func:`localization_map` calls it, and :func:`activity_map`,
+:func:`block_average` and :func:`fusion_weights` are its l1norm stages.
+Every map in and out is a float32 array.
 """
 
 from __future__ import annotations
@@ -21,19 +22,20 @@ from .cam import normalize_minmax
 STRATEGIES = ("max", "addition", "l1norm")
 VARIANTS = (*STRATEGIES, "single")
 
+# the l1-norm strategy's block-average radius, fixed at r = 1 (a 3x3 window)
+# as in DenseFuse (Li & Wu, IEEE TIP 2019), where the strategy comes from
+BLOCK_RADIUS = 1
+
 
 @dataclass
 class FusionConfig:
     strategy: str = "addition"
-    block_radius: int = 1
 
     def __post_init__(self):
         if self.strategy not in VARIANTS:
             raise ValueError(
                 f"unknown fusion strategy '{self.strategy}'; valid strategies: {', '.join(VARIANTS)}"
             )
-        if self.block_radius < 0:
-            raise ValueError(f"block radius must be >= 0, got {self.block_radius}")
 
 
 def activity_map(score_maps: np.ndarray) -> np.ndarray:
@@ -114,14 +116,14 @@ def localization_maps(
         raise IndexError(f"class {bad[0]} out of range for {sa.shape[1]} channels")
     if config.strategy == "l1norm":
         wa, wb = fusion_weights(
-            block_average(activity_map(sa), config.block_radius),
-            block_average(activity_map(sb), config.block_radius),
+            block_average(activity_map(sa), BLOCK_RADIUS),
+            block_average(activity_map(sb), BLOCK_RADIUS),
         )
         return wa[samples] * sa[samples, classes] + wb[samples] * sb[samples, classes]
-    a = normalize_minmax(sa[samples, classes]).values
+    a = normalize_minmax(sa[samples, classes])
     if config.strategy == "single":
         return a
-    b = normalize_minmax(sb[samples, classes]).values
+    b = normalize_minmax(sb[samples, classes])
     return np.maximum(a, b) if config.strategy == "max" else a + b
 
 

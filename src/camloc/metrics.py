@@ -195,7 +195,7 @@ def localize(
     normalized map by map and boxed with :func:`extract_bboxes`.
     """
     fused = fusion_mod.localization_maps(score_maps_a, score_maps_b, samples, classes, fusion_config)
-    full = normalize_minmax(upsample_bilinear(fused, *size)).values
+    full = normalize_minmax(upsample_bilinear(fused, *size))
     return extract_bboxes(full, tau), full
 
 

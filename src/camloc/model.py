@@ -120,10 +120,13 @@ class ModelParams:
 
 @dataclass
 class ForwardArtifacts:
-    """What :func:`forward` computed; ``guidance`` is the mask that scaled branch B's features."""
+    """What :func:`forward` computed. The (N,C,h,w) score maps and the
+    (N,h,w) ``guidance``, the mask that scaled branch B's features, are
+    float32 arrays outside the graph; the (N,C) logits are the graph's
+    Tensors, which the loss needs."""
 
-    score_maps_a: Tensor
-    score_maps_b: Tensor
+    score_maps_a: np.ndarray
+    score_maps_b: np.ndarray
     logits_a: Tensor
     logits_b: Tensor
     guidance: np.ndarray
@@ -212,7 +215,7 @@ def _guidance_masks(score_maps_a: np.ndarray, guides, mode: str) -> np.ndarray:
     if not np.isfinite(score_maps_a).all():
         raise NumericError("non-finite branch_a score maps")
     cam = normalize_minmax(score_maps_a[guides, np.arange(score_maps_a.shape[1])])
-    return (complement(cam) if mode == "ccam" else threshold_erase(cam, ERASE_THRESHOLD)).values
+    return complement(cam) if mode == "ccam" else threshold_erase(cam, ERASE_THRESHOLD)
 
 
 def forward(
@@ -260,8 +263,8 @@ def forward(
     guided = broadcast_mul_channels(features.detach(), Tensor(guidance))
     score_maps_b, logits_b = head_forward(params, "branch_b", guided)
     return ForwardArtifacts(
-        score_maps_a=Tensor(score_maps_a.data.transpose(1, 0, 2, 3)),
-        score_maps_b=Tensor(score_maps_b.data.transpose(1, 0, 2, 3)),
+        score_maps_a=score_maps_a.data.transpose(1, 0, 2, 3).copy(),
+        score_maps_b=score_maps_b.data.transpose(1, 0, 2, 3).copy(),
         logits_a=logits_a,
         logits_b=logits_b,
         guidance=guidance,
@@ -308,7 +311,7 @@ def predict_maps(params: ModelParams, images, mode: str = TrainConfig.guidance_m
             chunk = list(images[start : start + TRAIN_CHUNK])
             n = len(chunk)
             art = forward(params, np.stack(chunk + chunk[-1:] * (TRAIN_CHUNK - n)), None, mode)
-            arrays = (art.score_maps_a.data, art.score_maps_b.data, art.logits_a.data, art.logits_b.data, art.guidance)
+            arrays = (art.score_maps_a, art.score_maps_b, art.logits_a.data, art.logits_b.data, art.guidance)
             parts.append([array[:n] for array in arrays])
     scores_a, scores_b, logits_a, logits_b, guidance = (np.concatenate(arrays) for arrays in zip(*parts))
     for branch, scores, logits in (("branch_a", scores_a, logits_a), ("branch_b", scores_b, logits_b)):

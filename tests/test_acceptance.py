@@ -168,7 +168,7 @@ def test_criterion_2_fusion_oracles():
         np.testing.assert_allclose(wa[~live], 0.5)
 
     maps = rng.normal(size=(4, 8, 8)).astype(np.float32)
-    fused = localization_map(maps, maps, 2, FusionConfig("l1norm", block_radius=1))
+    fused = localization_map(maps, maps, 2, FusionConfig("l1norm"))
     np.testing.assert_allclose(fused, maps[2], atol=1e-6)
 
     out = block_average(np.ones((3, 3), dtype=np.float32), 1)
@@ -206,13 +206,13 @@ def test_criterion_4_complement_algebra():
     while done < 100:
         heat = rng.uniform(size=(6, 7)).astype(np.float32)
         normalized = normalize_minmax(heat)
-        flat = normalized.values.ravel()
+        flat = normalized.ravel()
         top = np.sort(flat)
         if top[-1] - top[-2] < 1e-6:
             continue  # needs a unique maximum
         comp = complement(normalized)
-        np.testing.assert_allclose(complement(comp).values, normalized.values, atol=1e-7)
-        assert int(np.argmax(normalized.values)) == int(np.argmin(comp.values))
+        np.testing.assert_allclose(complement(comp), normalized, atol=1e-7)
+        assert int(np.argmax(normalized)) == int(np.argmin(comp))
         done += 1
     report(4, "involution within 1e-7 and argmax/argmin reversal on 100 maps")
 

@@ -71,7 +71,6 @@ NON_DEFAULT = {
     ("train", "guidance_mode"): ("threshold", lambda c: c.train.guidance_mode, "threshold"),
     ("train", "seed"): ("9", lambda c: c.train.seed, 9),
     ("fusion", "strategy"): ("l1norm", lambda c: c.fusion.strategy, "l1norm"),
-    ("fusion", "block_radius"): ("2", lambda c: c.fusion.block_radius, 2),
     ("eval", "bbox_tau"): ("0.35", lambda c: c.bbox_tau, 0.35),
     ("eval", "sample"): ("4", lambda c: c.sample_index, 4),
     # '%' is literal, not interpolation
@@ -213,6 +212,7 @@ class TestConfigFile:
             ("[dataset]\nnum_classes = 1\n", [], "num_classes must be >= 2, got 1"),
             ("[dataset]\ntrain_samples = 0\n", [], "both splits need at least one sample"),
             ("[model]\nbackbone_channels = 16,32,64\n", [], "unknown config key [model] backbone_channels"),
+            ("[fusion]\nblock_radius = 1\n", [], "unknown config key [fusion] block_radius"),
             ("[train]\nbatch_size = 0\n", [], "batch_size must be >= 1, got 0"),
             ("", ["--sample", "-1"], "sample index must be >= 0, got -1"),
         ],
@@ -220,7 +220,7 @@ class TestConfigFile:
             "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size",
             "image-size-zero", "image-size-negative", "image-size-too-small", "bbox-tau", "single-branch", "single-branch-flag",
             "erase-threshold", "noise-amplitude", "erase-threshold-flag",
-            "num-classes", "train-samples", "backbone-channels", "batch-size", "sample-flag",
+            "num-classes", "train-samples", "backbone-channels", "block-radius", "batch-size", "sample-flag",
         ],
     )
     def test_invalid_setting_is_usage_error_before_any_work(self, capsys, tmp_path, text, flags, named):
@@ -791,9 +791,9 @@ class TestVisualizeCommand:
         maps and logits: branch A's own top-1 map, complemented or erased."""
         image = read_ppm(out / "dataset" / "test" / "test_00000.ppm")
         art = forward(load_checkpoint(out / "checkpoint.bin"), image, mode=mode)
-        cam = normalize_minmax(class_map(art.score_maps_a.data[0], int(np.argmax(art.logits_a.data[0]))))
+        cam = normalize_minmax(class_map(art.score_maps_a[0], int(np.argmax(art.logits_a.data[0]))))
         mask = complement(cam) if mode == "ccam" else threshold_erase(cam, 0.6)
-        return np.rint(upsample_bilinear(mask.values[None], 64, 64)[0] * 255)
+        return np.rint(upsample_bilinear(mask[None], 64, 64)[0] * 255)
 
     def test_threshold_mode_ccam_is_the_erase_mask(self, capsys, oracle_run):
         cfg_path, out = oracle_run

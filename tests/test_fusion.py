@@ -14,6 +14,7 @@ from camloc import (
     localization_map,
     normalize_minmax,
 )
+from camloc import fusion
 from camloc.fusion import VARIANTS, localization_maps
 
 import oracles
@@ -33,7 +34,7 @@ class TestFuseMax:
 
     def test_idempotent(self):
         m = np.random.default_rng(0).uniform(size=(3, 3))
-        np.testing.assert_array_equal(fuse("max", m, m), normalize_minmax(m).values)
+        np.testing.assert_array_equal(fuse("max", m, m), normalize_minmax(m))
 
     def test_commutative(self):
         rng = np.random.default_rng(1)
@@ -53,7 +54,7 @@ class TestFuseAddition:
     def test_zero_identity(self):
         # an all-zero map normalizes to all zeros
         a = np.random.default_rng(2).uniform(size=(3, 3))
-        np.testing.assert_array_equal(fuse("addition", a, np.zeros((3, 3))), normalize_minmax(a).values)
+        np.testing.assert_array_equal(fuse("addition", a, np.zeros((3, 3))), normalize_minmax(a))
 
     def test_commutative(self):
         rng = np.random.default_rng(3)
@@ -165,15 +166,16 @@ class TestFuseL1norm:
     def test_identical_inputs_reproduce_channel(self):
         rng = np.random.default_rng(5)
         maps = rng.normal(size=(3, 6, 6)).astype(np.float32)
-        out = localization_map(maps, maps, 1, FusionConfig("l1norm", block_radius=1))
+        out = localization_map(maps, maps, 1, FusionConfig("l1norm"))
         np.testing.assert_allclose(out, maps[1], atol=1e-6)
 
-    def test_zero_branch_b_hand_trace(self):
+    def test_zero_branch_b_hand_trace(self, monkeypatch):
         # radius 0 keeps the trace simple: weights are 1 for branch A
         # wherever it has any activity, 0.5 where both branches are dead.
+        monkeypatch.setattr(fusion, "BLOCK_RADIUS", 0)
         sa = np.array([[[1.0, -2.0], [0.0, 3.0]], [[0.0, 1.0], [1.0, -1.0]]], dtype=np.float32)
         sb = np.zeros_like(sa)
-        out = localization_map(sa, sb, 0, FusionConfig("l1norm", block_radius=0))
+        out = localization_map(sa, sb, 0, FusionConfig("l1norm"))
         np.testing.assert_allclose(out, sa[0], atol=1e-7)
         ref = oracles.l1norm_fusion_ref(sa, sb, 0, 0)
         np.testing.assert_allclose(out, ref, atol=1e-6)
@@ -185,16 +187,17 @@ class TestFuseL1norm:
         sa2, sb2 = sa.copy(), sb.copy()
         sa2[2] *= 2.5
         sb2[2] *= 2.5
-        out = localization_map(sa2, sb2, 2, FusionConfig("l1norm", block_radius=1))
+        out = localization_map(sa2, sb2, 2, FusionConfig("l1norm"))
         ref = oracles.l1norm_fusion_ref(sa2, sb2, 2, 1)
         np.testing.assert_allclose(out, ref, atol=1e-5)
 
-    def test_matches_brute_force_random(self):
+    def test_matches_brute_force_random(self, monkeypatch):
         rng = np.random.default_rng(7)
         for radius in (0, 1, 2):
+            monkeypatch.setattr(fusion, "BLOCK_RADIUS", radius)
             sa = rng.normal(size=(3, 6, 6)).astype(np.float32)
             sb = rng.normal(size=(3, 6, 6)).astype(np.float32)
-            out = localization_map(sa, sb, 0, FusionConfig("l1norm", block_radius=radius))
+            out = localization_map(sa, sb, 0, FusionConfig("l1norm"))
             np.testing.assert_allclose(out, oracles.l1norm_fusion_ref(sa, sb, 0, radius), atol=1e-5)
 
     def test_convex_combination_bounds(self):
@@ -235,10 +238,6 @@ class TestFusionConfig:
         with pytest.raises(ValueError, match="max.*addition.*l1norm"):
             FusionConfig("conv")
 
-    def test_negative_radius(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            FusionConfig("max", block_radius=-1)
-
 
 class TestLocalizationMap:
     def test_all_strategies_symmetric_under_swap(self):
@@ -258,7 +257,7 @@ class TestLocalizationMap:
         sa = rng.normal(size=(3, 4, 4)).astype(np.float32)
         sb = rng.normal(size=(3, 4, 4)).astype(np.float32)
         out = localization_map(sa, sb, 2, FusionConfig("single"))
-        expected = normalize_minmax(sa[2]).values
+        expected = normalize_minmax(sa[2])
         np.testing.assert_array_equal(out, expected)
 
     def test_max_and_addition_use_normalized_inputs(self):
@@ -267,22 +266,22 @@ class TestLocalizationMap:
         sa = rng.uniform(size=(2, 4, 4)).astype(np.float32)
         sb = (rng.uniform(size=(2, 4, 4)) * 1000).astype(np.float32)
         out = localization_map(sa, sb, 0, FusionConfig("addition"))
-        a_norm = normalize_minmax(sa[0]).values
-        b_norm = normalize_minmax(sb[0]).values
+        a_norm = normalize_minmax(sa[0])
+        b_norm = normalize_minmax(sb[0])
         np.testing.assert_allclose(out, a_norm + b_norm, atol=1e-6)
 
 
 def per_class_map(sa, sb, c, config):
     """One class's map computed on its own, the way localization ran per class."""
     if config.strategy == "single":
-        return normalize_minmax(sa[c]).values
+        return normalize_minmax(sa[c])
     if config.strategy == "l1norm":
         wa, wb = fusion_weights(
-            block_average(activity_map(sa), config.block_radius),
-            block_average(activity_map(sb), config.block_radius),
+            block_average(activity_map(sa), fusion.BLOCK_RADIUS),
+            block_average(activity_map(sb), fusion.BLOCK_RADIUS),
         )
         return wa * sa[c] + wb * sb[c]
-    a, b = normalize_minmax(sa[c]).values, normalize_minmax(sb[c]).values
+    a, b = normalize_minmax(sa[c]), normalize_minmax(sb[c])
     return np.maximum(a, b) if config.strategy == "max" else a + b
 
 

@@ -22,7 +22,7 @@ from camloc import (
     normalize_minmax,
     write_records,
 )
-from camloc import metrics
+from camloc import fusion, metrics
 from camloc.fusion import STRATEGIES, VARIANTS
 from camloc.metrics import gt_known_correct, localization_flags
 from camloc.model import GUIDANCE_MODES, predict_maps
@@ -215,7 +215,7 @@ def box_test_maps(rng):
             x1, x2 = x2, x1
         tie[y1 : y1 + size, x1 : x1 + size] = 1.0
         tie[y2 : y2 + size, x2 : x2 + size] = 1.0
-    maps = np.concatenate([normalize_minmax(smooth).values, noisy, zero, constant, ties, stress_maps(rng)])
+    maps = np.concatenate([normalize_minmax(smooth), noisy, zero, constant, ties, stress_maps(rng)])
     lines = np.concatenate([
         rng.uniform(size=(30, 1, 64)),
         upsample_bilinear(rng.normal(size=(30, 1, 8)), 1, 64),
@@ -372,9 +372,9 @@ def evaluate_per_sample(params, samples, config, tau, mode):
             preds = [int(c) for c in np.argsort(-mean_logits, kind="stable")[:5]]
 
             def box(c):
-                fused = localization_map(art.score_maps_a.data[0], art.score_maps_b.data[0], c, config)
+                fused = localization_map(art.score_maps_a[0], art.score_maps_b[0], c, config)
                 full = oracles.upsample_bilinear_4term_ref(fused, *sample.image.shape[1:])
-                return oracles.extract_bbox_ref(normalize_minmax(full).values, tau)
+                return oracles.extract_bbox_ref(normalize_minmax(full), tau)
 
             boxes = [box(c) for c in preds]
             ious = [iou(b, sample.gt_box) for b in boxes]
@@ -409,10 +409,11 @@ class TestEvaluateMatchesPerSample:
 
 
 @pytest.mark.parametrize("radius", [0, 2])
-def test_single_branch_reads_out_single_whatever_the_strategy(radius):
+def test_single_branch_reads_out_single_whatever_the_strategy(radius, monkeypatch):
+    monkeypatch.setattr(fusion, "BLOCK_RADIUS", radius)
     params, samples = seven_class_split()
     expected = evaluate(params, samples, FusionConfig("single"), tau=0.3)
     for strategy in STRATEGIES:
-        config = FusionConfig(strategy, block_radius=radius)
+        config = FusionConfig(strategy)
         assert evaluate(params, samples, config, tau=0.3, single_branch=True) == expected
         assert evaluate(params, samples, config, tau=0.3) != expected  # the override changes the readout

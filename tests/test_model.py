@@ -100,6 +100,17 @@ def branch_a_maps(params, images):
     return head_forward(params, "branch_a", features)[0].data
 
 
+def artifact_arrays(art):
+    """forward's per-sample outputs as arrays, by field: the score maps are
+    arrays already, the logits are Tensors."""
+    return {
+        "score_maps_a": art.score_maps_a,
+        "score_maps_b": art.score_maps_b,
+        "logits_a": art.logits_a.data,
+        "logits_b": art.logits_b.data,
+    }
+
+
 class TestForward:
     def test_score_map_shapes_default_config(self):
         params = init_model(ModelConfig(num_classes=4))
@@ -107,6 +118,8 @@ class TestForward:
         art = forward(params, image, guide_class=0)
         assert art.score_maps_a.shape == (1, 4, 8, 8)
         assert art.score_maps_b.shape == (1, 4, 8, 8)
+        for maps in (art.score_maps_a, art.score_maps_b):
+            assert type(maps) is np.ndarray and maps.dtype == np.float32 and maps.flags.c_contiguous
         assert art.logits_a.shape == art.logits_b.shape == (1, 4)
 
     def test_indivisible_input(self):
@@ -127,8 +140,8 @@ class TestForward:
             backward(loss)
             runs.append((art, loss, params))
         (one, one_loss, one_params), (stack, stack_loss, stack_params) = runs
-        for field in ("score_maps_a", "score_maps_b", "logits_a", "logits_b"):
-            np.testing.assert_array_equal(getattr(one, field).data, getattr(stack, field).data, err_msg=field)
+        for field, value in artifact_arrays(one).items():
+            np.testing.assert_array_equal(value, artifact_arrays(stack)[field], err_msg=field)
         assert one.score_maps_a.shape == (1, 4, 4, 4)
         np.testing.assert_array_equal(one_loss.data, stack_loss.data)
         for name in one_params.tensors:
@@ -171,10 +184,10 @@ class TestForward:
             unguided = forward(params, images, guide_class=None, mode=mode)
             top1 = np.argmax(unguided.logits_a.data, axis=1)
             guided = forward(params, images, guide_class=top1, mode=mode)
-            np.testing.assert_array_equal(unguided.score_maps_b.data, guided.score_maps_b.data)
+            np.testing.assert_array_equal(unguided.score_maps_b, guided.score_maps_b)
             # the guide class matters: any other class gives other branch-B maps
             misguided = forward(params, images, guide_class=(top1 + 1) % 4, mode=mode)
-            assert not np.array_equal(unguided.score_maps_b.data, misguided.score_maps_b.data)
+            assert not np.array_equal(unguided.score_maps_b, misguided.score_maps_b)
 
     def test_all_ones_override_feeds_branch_b_raw_features(self, monkeypatch):
         params = init_model(small_config())
@@ -185,7 +198,7 @@ class TestForward:
         assert art.guidance is ones
         features = backbone_forward(params, Tensor(image))
         scores_b, logits_b = head_forward(params, "branch_b", features)
-        np.testing.assert_array_equal(art.score_maps_b.data[0], scores_b.data)
+        np.testing.assert_array_equal(art.score_maps_b[0], scores_b.data)
         np.testing.assert_array_equal(art.logits_b.data[0], logits_b.data)
 
     def test_branch_symmetry_under_parameter_swap(self, monkeypatch):
@@ -226,8 +239,8 @@ class TestForward:
             padded = np.stack([image] * model.TRAIN_CHUNK)
             guides = [labels[i]] * model.TRAIN_CHUNK if labelled else None
             one = forward(params, padded, guide_class=guides, mode=mode)
-            for field in ("score_maps_a", "score_maps_b", "logits_a", "logits_b"):
-                np.testing.assert_array_equal(getattr(art, field).data[i], getattr(one, field).data[0], err_msg=field)
+            for field, value in artifact_arrays(one).items():
+                np.testing.assert_array_equal(artifact_arrays(art)[field][i], value[0], err_msg=field)
 
     def test_stack_needs_one_guide_class_per_image(self):
         params = init_model(small_config())
@@ -259,8 +272,8 @@ class TestPredictMaps:
         with no_grad():
             for i, sample in enumerate(samples):
                 art = forward(params, np.stack([sample.image] * model.TRAIN_CHUNK), guide_class=None, mode=mode)
-                np.testing.assert_array_equal(score_a[i], art.score_maps_a.data[0])
-                np.testing.assert_array_equal(score_b[i], art.score_maps_b.data[0])
+                np.testing.assert_array_equal(score_a[i], art.score_maps_a[0])
+                np.testing.assert_array_equal(score_b[i], art.score_maps_b[0])
                 np.testing.assert_array_equal(guidance[i], art.guidance[0])
                 mean_logits = (art.logits_a.data[0] + art.logits_b.data[0]) / 2
                 np.testing.assert_array_equal(ranking[i], np.argsort(-mean_logits, kind="stable"))

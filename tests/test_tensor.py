@@ -548,7 +548,7 @@ class TestBackward:
         np.testing.assert_array_equal(kernel.grad, 2 * once_kernel)
         np.testing.assert_array_equal(x.grad, 2 * once_x)
 
-    def test_handoff_never_aliases(self):
+    def test_parents_never_share_a_gradient(self):
         # add gives one array to both parents: each parent gets its own copy
         x = t([1.0, 2.0], grad=True)
         backward(tensor_sum(add(x, x)))
