@@ -49,23 +49,16 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 @dataclass
 class RunConfig:
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     model_seed: int = ModelConfig.seed
     train: TrainConfig = field(default_factory=TrainConfig)
     fusion: FusionConfig = field(default_factory=FusionConfig)
-    bbox_tau: float = BBOX_TAU
     sample_index: int = 0
     out_dir: str = "camloc_out"
 
     def __post_init__(self):
-        if not 0.0 < self.bbox_tau < 1.0:
-            raise ValueError(f"bbox_tau must lie in (0, 1), got {self.bbox_tau}")
         if self.sample_index < 0:
             raise ValueError(f"sample index must be >= 0, got {self.sample_index}")
         # INI strips a value's outer whitespace and reads a line break as a continuation
@@ -105,7 +98,6 @@ _SCHEMA = {
     ("train", "guidance_mode"): ("train.guidance_mode", str, str),
     ("train", "seed"): ("train.seed", int, str),
     ("fusion", "strategy"): ("fusion.strategy", str, str),
-    ("eval", "bbox_tau"): ("bbox_tau", float, repr),
     ("eval", "sample"): ("sample_index", int, str),
     ("output", "out_dir"): ("out_dir", str, str),
 }
@@ -115,7 +107,6 @@ _FLAG_PATHS = {
     "seed": ("dataset.seed", "model_seed", "train.seed"),
     "strategy": ("fusion.strategy",),
     "cam_mode": ("train.guidance_mode",),
-    "bbox_tau": ("bbox_tau",),
     "sample": ("sample_index",),
     "out": ("out_dir",),
 }
@@ -205,13 +196,10 @@ def _split_rows(cfg: RunConfig, split: str) -> tuple[Path, list]:
     directory = _split_dir(cfg, split)
     annotations = directory / "annotations.csv"
     if not annotations.exists():
-        raise DataError(f"missing dataset split '{split}': {annotations} not found (run gen-data first)")
-    try:
-        rows = read_annotations(annotations, cfg.dataset.num_classes, cfg.dataset.image_size)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+        raise FileNotFoundError(f"missing dataset split '{split}': {annotations} not found (run gen-data first)")
+    rows = read_annotations(annotations, cfg.dataset.num_classes, cfg.dataset.image_size)
     if not rows:
-        raise DataError(f"{annotations}: no samples")
+        raise ValueError(f"{annotations}: no samples")
     return directory, rows
 
 
@@ -220,7 +208,7 @@ def _read_sample(cfg: RunConfig, directory: Path, row) -> Sample:
     image = read_ppm(directory / filename)
     size = cfg.dataset.image_size
     if image.shape[1:] != size:
-        raise DataError(
+        raise ValueError(
             f"{directory / filename}: image is {image.shape[2]}x{image.shape[1]}, "
             f"but [dataset] image_size is {size[1]}x{size[0]}"
         )
@@ -239,22 +227,22 @@ def _checkpoint_path(cfg: RunConfig) -> Path:
 def _load_params(cfg: RunConfig):
     path = _checkpoint_path(cfg)
     if not path.exists():
-        raise DataError(f"missing checkpoint: {path} not found (run train first)")
+        raise FileNotFoundError(f"missing checkpoint: {path} not found (run train first)")
     params = load_checkpoint(path)
     expected = param_shapes(cfg.model_config())
     found = {name: tensor.shape for name, tensor in params.tensors.items()}
     score_shape = found.get("branch_a.score.weight", ())
     if score_shape and score_shape[0] != cfg.dataset.num_classes:
-        raise DataError(
+        raise ValueError(
             f"checkpoint {path} has {score_shape[0]} classes but the dataset has {cfg.dataset.num_classes}"
         )
     for name in sorted(expected.keys() | found.keys()):
         if name not in found:
-            raise DataError(f"checkpoint {path} lacks tensor {name} of the configured model")
+            raise ValueError(f"checkpoint {path} lacks tensor {name} of the configured model")
         if name not in expected:
-            raise DataError(f"checkpoint {path} has tensor {name}, which the configured model lacks")
+            raise ValueError(f"checkpoint {path} has tensor {name}, which the configured model lacks")
         if found[name] != expected[name]:
-            raise DataError(
+            raise ValueError(
                 f"checkpoint {path} tensor {name} has shape {found[name]}; the configured model needs {expected[name]}"
             )
     return params
@@ -295,11 +283,12 @@ def cmd_train(cfg: RunConfig, out: Path) -> None:
 def cmd_eval(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg)
     samples = _load_split(cfg, "test")
+    # the CLI boxes at the one fixed tau; a tau curve goes through evaluate(tau=)
     report, records = evaluate(
         params,
         samples,
         fusion_config=cfg.fusion,
-        tau=cfg.bbox_tau,
+        tau=BBOX_TAU,
         cam_mode=cfg.train.guidance_mode,
     )
     write_records(records, out / f"records_{cfg.train.guidance_mode}_{cfg.fusion.strategy}.csv")
@@ -321,14 +310,14 @@ def cmd_visualize(cfg: RunConfig, out: Path) -> None:
     params = _load_params(cfg)
     directory, rows = _split_rows(cfg, "test")
     if cfg.sample_index >= len(rows):
-        raise DataError(f"sample {cfg.sample_index} out of range: test split has {len(rows)} samples")
+        raise ValueError(f"sample {cfg.sample_index} out of range: test split has {len(rows)} samples")
     sample = _read_sample(cfg, directory, rows[cfg.sample_index])
     height, width = sample.image.shape[1:]
 
     score_a, score_b, ranking, guidance = predict_maps(params, [sample.image], cfg.train.guidance_mode)
     predicted = int(ranking[0, 0])
     (box,), fused_full = localize(
-        score_a, score_b, [0], [predicted], cfg.fusion, (height, width), cfg.bbox_tau
+        score_a, score_b, [0], [predicted], cfg.fusion, (height, width), BBOX_TAU
     )
     cam_a = normalize_minmax(class_map(score_a[0], predicted))
     cam_b = normalize_minmax(class_map(score_b[0], predicted))
@@ -369,7 +358,6 @@ def _build_parser() -> _ArgumentParser:
         p.add_argument("--seed", type=int, metavar="N", help="override dataset/model/train seeds")
         p.add_argument("--strategy", choices=VARIANTS, help="fusion strategy, or single for branch A alone")
         p.add_argument("--cam-mode", choices=GUIDANCE_MODES, help="guidance map type")
-        p.add_argument("--bbox-tau", type=float, metavar="TAU", help="box binarization fraction")
         p.add_argument("--sample", type=int, metavar="N", help="test-split sample index (visualize)")
         p.add_argument("--out", metavar="DIR", help="output directory")
     return parser
@@ -409,7 +397,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (DataError, CheckpointError, OSError, ValueError) as exc:
+    except (CheckpointError, OSError, ValueError) as exc:  # a refused dataset, checkpoint or file
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -160,8 +160,10 @@ def read_annotations(path, num_classes: int, image_size) -> list[tuple[str, int,
     a row, and a line that is not ``filename,class_id,x_min,y_min,x_max,y_max``
     with a class id in [0, num_classes) and a box inside the (H, W)
     ``image_size`` is an error. A file name must name a file in the
-    annotation file's own directory. Errors name the file and line."""
+    annotation file's own directory, on one line only. Errors name the file
+    and line."""
     rows: list[tuple[str, int, BBox]] = []
+    first_line: dict[str, int] = {}
     # a byte past ASCII decodes to U+FFFD, so the error can name its line
     with open(path, "r", encoding="ascii", errors="replace") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -175,6 +177,11 @@ def read_annotations(path, num_classes: int, image_size) -> list[tuple[str, int,
                 raise ValueError(f"{path}: line {line_no}: expected 6 fields, found {len(parts)}")
             if parts[0] in ("", ".", "..") or any(c in parts[0] for c in "/\\\0"):
                 raise ValueError(f"{path}: line {line_no}: {parts[0]!r} is not a file name in the split")
+            if parts[0] in first_line:
+                raise ValueError(
+                    f"{path}: line {line_no}: {parts[0]!r} is listed again, first on line {first_line[parts[0]]}"
+                )
+            first_line[parts[0]] = line_no
             try:
                 numbers = [int(p) for p in parts[1:]]
             except ValueError as exc:

@@ -27,7 +27,7 @@ from .tensor import bilinear_upsample  # noqa: F401
 # samples per localize pass in ``evaluate``: 8 ran faster than 4. Inference
 # is batched by predict_maps alone, at model.TRAIN_CHUNK samples per forward
 EVAL_CHUNK = 8
-BBOX_TAU = 0.2  # default box threshold, as a fraction of each map's maximum
+BBOX_TAU = 0.2  # the CLI's box threshold and evaluate's default, as a fraction of each map's maximum
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,7 @@ def extract_bboxes(maps: np.ndarray, tau: float) -> list[BBox]:
     """
     if not 0.0 < tau < 1.0:
         raise ValueError(f"bbox threshold must lie in (0, 1), got {tau}")
+    tau = float(tau)  # a NumPy float64 tau would make the threshold float64 under NEP 50
     arr = np.asarray(maps, dtype=np.float32)
     if arr.ndim != 3:
         raise ValueError(f"heatmaps must be (M,H,W), got shape {arr.shape}")

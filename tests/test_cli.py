@@ -71,7 +71,6 @@ NON_DEFAULT = {
     ("train", "guidance_mode"): ("threshold", lambda c: c.train.guidance_mode, "threshold"),
     ("train", "seed"): ("9", lambda c: c.train.seed, 9),
     ("fusion", "strategy"): ("l1norm", lambda c: c.fusion.strategy, "l1norm"),
-    ("eval", "bbox_tau"): ("0.35", lambda c: c.bbox_tau, 0.35),
     ("eval", "sample"): ("4", lambda c: c.sample_index, 4),
     # '%' is literal, not interpolation
     ("output", "out_dir"): ("runs/100%", lambda c: c.out_dir, "runs/100%"),
@@ -130,11 +129,10 @@ class TestConfigFile:
             (["--seed", "13"], [("dataset", "seed"), ("model", "seed"), ("train", "seed")]),
             (["--strategy", "max"], [("fusion", "strategy")]),
             (["--cam-mode", "threshold"], [("train", "guidance_mode")]),
-            (["--bbox-tau", "0.4"], [("eval", "bbox_tau")]),
             (["--strategy", "single"], [("fusion", "strategy")]),
             (["--sample", "5"], [("eval", "sample")]),
         ],
-        ids=["seed", "strategy-max", "cam-mode", "bbox-tau", "strategy-single", "sample"],
+        ids=["seed", "strategy-max", "cam-mode", "strategy-single", "sample"],
     )
     def test_flag_overrides_its_keys(self, tmp_path, small_cfg_file, flag, keys):
         write_manifest(parse_config_file(small_cfg_file), tmp_path / "file.cfg")
@@ -165,6 +163,10 @@ class TestConfigFile:
         # every flag but --config overrides keys, and the table names them all
         parsed = vars(cli._build_parser().parse_args(["gen-data"]))
         assert set(parsed) - {"command", "func", "config"} == set(documented)
+        # the CLI section's flag list names every flag once, --config too
+        listed = readme.split("\nFlags: ", 1)[1].split("\nExit codes:", 1)[0]
+        listed = [flag.replace("-", "_") for flag in re.findall(r"`--([a-z-]+)", listed)]
+        assert sorted(listed) == sorted(set(parsed) - {"command", "func"})
 
     @pytest.mark.parametrize("text", ["[DEFAULT]\nepochs = 0\n", "[DEFAULT]\nseed = 3\n\n[dataset]\nnum_classes = 4\n"])
     def test_default_section_key_rejected(self, capsys, tmp_path, text):
@@ -203,7 +205,8 @@ class TestConfigFile:
             ("[dataset]\nimage_size = 0\n", [], "image_size must be >= 1, got (0, 0)"),
             ("[dataset]\nimage_size = -8\n", [], "image_size must be >= 1, got (-8, -8)"),
             ("[dataset]\nimage_size = 44\n", [], "shapes cannot fit inside a 44x44 image"),
-            ("[eval]\nbbox_tau = 1.5\n", [], "bbox_tau must lie in (0, 1), got 1.5"),
+            ("[eval]\nbbox_tau = 0.2\n", [], "unknown config key [eval] bbox_tau"),
+            ("", ["--bbox-tau", "0.2"], "unrecognized arguments: --bbox-tau 0.2"),
             ("[eval]\nsingle_branch = true\n", [], "unknown config key [eval] single_branch"),
             ("", ["--single-branch"], "unrecognized arguments: --single-branch"),
             ("[train]\nerase_threshold = 0.6\n", [], "unknown config key [train] erase_threshold"),
@@ -218,7 +221,8 @@ class TestConfigFile:
         ],
         ids=[
             "seed-flag", "dataset-seed", "model-seed", "train-seed", "head-width", "image-size",
-            "image-size-zero", "image-size-negative", "image-size-too-small", "bbox-tau", "single-branch", "single-branch-flag",
+            "image-size-zero", "image-size-negative", "image-size-too-small", "bbox-tau", "bbox-tau-flag",
+            "single-branch", "single-branch-flag",
             "erase-threshold", "noise-amplitude", "erase-threshold-flag",
             "num-classes", "train-samples", "backbone-channels", "block-radius", "batch-size", "sample-flag",
         ],
@@ -473,9 +477,10 @@ def oracle_run(tmp_path):
 
 
 class TestEvalCommand:
-    def test_oracle_model_reaches_perfect_gt_known(self, capsys, oracle_run):
+    def test_oracle_model_reaches_perfect_gt_known(self, capsys, monkeypatch, oracle_run):
         cfg_path, out = oracle_run
-        code = run("eval", "--config", cfg_path, "--out", str(out), "--strategy", "single", "--bbox-tau", "0.5")
+        monkeypatch.setattr(cli, "BBOX_TAU", 0.5)
+        code = run("eval", "--config", cfg_path, "--out", str(out), "--strategy", "single")
         assert code == 0
         metrics = dict(
             line.split("=") for line in capsys.readouterr().out.strip().splitlines() if "=" in line
@@ -486,9 +491,10 @@ class TestEvalCommand:
         }
         assert (out / "records_ccam_single.csv").exists()
 
-    def test_records_dump_format(self, capsys, oracle_run):
+    def test_records_dump_format(self, capsys, monkeypatch, oracle_run):
         cfg_path, out = oracle_run
-        assert run("eval", "--config", cfg_path, "--out", str(out), "--strategy", "addition", "--bbox-tau", "0.5") == 0
+        monkeypatch.setattr(cli, "BBOX_TAU", 0.5)
+        assert run("eval", "--config", cfg_path, "--out", str(out), "--strategy", "addition") == 0
         capsys.readouterr()
         lines = (out / "records_ccam_addition.csv").read_text().strip().splitlines()
         assert len(lines) == 8  # test split size
@@ -760,6 +766,12 @@ class TestMalformedAnnotations:
         lines[0] = ",".join([name] + lines[0].split(",")[1:])
         self.run_with(capsys, csv_run, command, "\n".join(lines) + "\n", culprit)
 
+    def test_image_listed_twice(self, capsys, csv_run):
+        lines = list(csv_run[3])
+        lines[5] = ",".join(["test_00002.ppm"] + lines[5].split(",")[1:])
+        culprit = "annotations.csv: line 6: 'test_00002.ppm' is listed again, first on line 3"
+        self.run_with(capsys, csv_run, "eval", "\n".join(lines) + "\n", culprit)
+
     @pytest.mark.parametrize("text", ["", "\n\n", "file,label,x_min,y_min,x_max,y_max\n"])
     @pytest.mark.parametrize("command", ["eval", "visualize"])
     def test_no_rows(self, capsys, csv_run, command, text):
@@ -845,11 +857,12 @@ class TestVisualizeCommand:
 
 
 @pytest.mark.parametrize(
-    "flags", [["--strategy", "l1norm", "--bbox-tau", "0.35"], ["--strategy", "single", "--cam-mode", "threshold"]],
+    "flags, tau", [(["--strategy", "l1norm"], 0.35), (["--strategy", "single", "--cam-mode", "threshold"], 0.2)],
     ids=["l1norm", "single-branch"],
 )
-def test_visualize_boxes_what_evaluate_boxes(monkeypatch, oracle_run, flags):
+def test_visualize_boxes_what_evaluate_boxes(monkeypatch, oracle_run, flags, tau):
     cfg_path, out = oracle_run
+    monkeypatch.setattr(cli, "BBOX_TAU", tau)
     # class k scores (1 + k) * objectness - 0.06 * k in both branches, so the
     # mean logit ranks class 3 first on bright objects and class 0 on faint ones
     params = oracles.objectness_params()
@@ -859,7 +872,7 @@ def test_visualize_boxes_what_evaluate_boxes(monkeypatch, oracle_run, flags):
     save_checkpoint(params, out / "checkpoint.bin")
     argv = ["--config", cfg_path, *flags, "--out", str(out)]
     cfg = cli._build_config(cli._build_parser().parse_args(["eval", *argv]))
-    _, records = evaluate(params, cli._load_split(cfg, "test"), cfg.fusion, cfg.bbox_tau, cfg.train.guidance_mode)
+    _, records = evaluate(params, cli._load_split(cfg, "test"), cfg.fusion, tau, cfg.train.guidance_mode)
 
     asked = []
 

@@ -273,3 +273,10 @@ class TestAnnotations:
         path.write_text("a.ppm,1,0,0,4,4\nb.ppm,x,0,0,4,4\n")
         with pytest.raises(ValueError, match="line 2"):
             read_annotations(path, 4, (64, 64))
+
+    def test_image_listed_twice_names_both_lines(self, tmp_path):
+        # one image under two labels would read as two samples
+        path = tmp_path / "ann.csv"
+        path.write_text("train_00000.ppm,0,0,0,4,4\nb.ppm,2,0,0,4,4\n\ntrain_00000.ppm,1,0,0,4,4\n")
+        with pytest.raises(ValueError, match="line 4: 'train_00000.ppm' is listed again, first on line 1"):
+            read_annotations(path, 4, (64, 64))

@@ -255,6 +255,15 @@ class TestExtractBboxes:
         with pytest.raises(ValueError, match=r"\(M,H,W\)"):
             extract_bboxes(np.ones((4, 4), dtype=np.float32), 0.5)
 
+    def test_float64_tau_thresholds_as_a_python_float(self):
+        # np.arange and np.linspace yield float64 scalars; under NEP 50 a
+        # float64 tau times the float32 max would be a float64 threshold
+        tau = 0.9037845024235195
+        heat = np.zeros((1, 8, 8), dtype=np.float32)
+        heat[0, 0, :2] = [0.7162394, 0.64732605]
+        assert extract_bboxes(heat, tau) == extract_bboxes(heat, np.float64(tau)) == [BBox(0, 0, 2, 1)]
+        assert extract_bbox(heat[0], np.float64(tau)) == BBox(0, 0, 2, 1)
+
 
 class TestWriteRecords:
     def test_failed_write_keeps_old_file(self, tmp_path):
@@ -338,6 +347,18 @@ class TestEvaluate:
     def test_tau_out_of_range(self):
         with pytest.raises(ValueError, match=r"bbox threshold must lie in \(0, 1\), got 1.5"):
             evaluate(oracles.objectness_params(), tiny_dataset()[:2], tau=1.5)
+
+    def test_float64_tau_gives_the_python_float_results(self, monkeypatch):
+        # every candidate map becomes one whose box depends on the
+        # threshold's dtype (see TestExtractBboxes)
+        def straddling(maps):
+            out = np.zeros_like(maps)
+            out[:, 0, :2] = [0.7162394, 0.64732605]
+            return out
+
+        monkeypatch.setattr(metrics, "normalize_minmax", straddling)
+        samples, params, tau = tiny_dataset()[:2], oracles.objectness_params(), 0.9037845024235195
+        assert evaluate(params, samples, tau=np.float64(tau)) == evaluate(params, samples, tau=tau)
 
     def test_one_inference_pass_per_split(self, monkeypatch):
         samples = tiny_dataset()
