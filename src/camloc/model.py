@@ -5,7 +5,8 @@ for the guide class (the ground truth while training, its own top-1 at
 inference) is normalized and inverted, and the result scales the backbone
 features that branch B consumes. Both branches end in a 1x1 conv producing
 per-class score maps, pooled to logits; the loss is the sum of the two
-branches' cross entropies.
+branches' cross entropies, and both train the one backbone, as in ACoL
+(Zhang et al., CVPR 2018). The guidance mask is a constant of the graph.
 """
 
 from __future__ import annotations
@@ -47,6 +48,12 @@ HEAD_WIDTH = 64
 # δ of the erasing baseline (ACoL): threshold guidance erases the cells
 # whose normalized guide-class map reaches it
 ERASE_THRESHOLD = 0.6
+
+# cap on the global norm of each SGD step's mean gradient: an uncapped step
+# at lr 0.1 can throw a converging run back to chance. Of 1.5, 2, 2.5 and 3,
+# all at 100% top-1 on the last 10% of the training split when trained on
+# the rest, 3 had the lowest held-out loss
+CLIP_NORM = 3.0
 
 # samples per training graph: each chunk is one forward and backward pass
 TRAIN_CHUNK = 4
@@ -256,11 +263,7 @@ def forward(
             raise IndexError(f"guide class {guide_class} out of range for {params.num_classes} classes")
     guidance = _guidance_masks(score_maps_a.data, guides, mode)
 
-    # Branch B reads the shared features but does not train them: letting
-    # both cross-entropy terms pull on one trunk destabilizes small-scale
-    # training (branch B can exploit the label-dependent guidance mask and
-    # starve branch A of the features it needs).
-    guided = broadcast_mul_channels(features.detach(), Tensor(guidance))
+    guided = broadcast_mul_channels(features, Tensor(guidance))
     score_maps_b, logits_b = head_forward(params, "branch_b", guided)
     return ForwardArtifacts(
         score_maps_a=score_maps_a.data.transpose(1, 0, 2, 3).copy(),
@@ -345,12 +348,17 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
     """SGD training; guidance follows the ground-truth label.
 
     Each batch runs as chunks of ``TRAIN_CHUNK`` samples, one graph per
-    chunk; their gradients accumulate and are averaged over the batch. The
+    chunk; their gradients accumulate into the batch gradient g. Each step
+    scales g by the one factor min(1/len(batch), CLIP_NORM/‖g‖): the batch
+    mean, with its global norm capped at ``CLIP_NORM``. ‖g‖ is taken in
+    float64 over ``params.trainable()`` in order, with numpy's own sums and
+    no BLAS call, so its bits do not depend on the BLAS thread count. The
     sample order is reshuffled every epoch by a generator seeded from
     ``config.seed``, so identical configs reproduce identical runs. A
-    non-finite loss, or a parameter left non-finite by the last step,
-    raises :class:`NumericError`. Samples whose images differ in shape are
-    refused with a ``ValueError`` before any parameter changes.
+    non-finite loss or gradient norm, or a parameter left non-finite by the
+    last step, raises :class:`NumericError`; the first two raise before
+    the step, so no parameter changes. Samples whose images differ in
+    shape are refused with a ``ValueError`` before any parameter changes.
 
     No chunk's graph holds im2col columns: each conv allocates its columns
     and column gradients fresh and drops them before it returns, so at most
@@ -381,7 +389,10 @@ def train(params: ModelParams, dataset, config: TrainConfig, progress=None) -> T
                 loss_sum += value
                 hits_a += chunk_a
                 hits_b += chunk_b
-            scale = np.float32(1.0 / len(batch))
+            norm = np.sqrt(sum(np.square(p.grad, dtype=np.float64).sum() for p in trainable))
+            if not np.isfinite(norm):
+                raise NumericError(f"non-finite gradient norm at epoch {epoch}")
+            scale = np.float32(min(1.0 / len(batch), CLIP_NORM / norm))
             for p in trainable:
                 p.grad *= scale
             sgd_step(trainable, config.learning_rate)

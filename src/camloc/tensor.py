@@ -87,9 +87,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __add__(self, other: "Tensor") -> "Tensor":
         return add(self, other)
 

@@ -274,16 +274,24 @@ def max_rel_err(analytic, numeric, exempt=1e-6):
 def per_sample_sgd_step(params, samples, config):
     """One SGD step over ``samples`` as a single batch, the way training ran
     before chunking: one graph and one backward per (3,H,W) sample, the
-    gradients summed, then scaled by 1/len(samples)."""
-    from camloc import backward, dual_branch_loss, forward, sgd_step
+    gradients averaged, then the mean gradient ḡ scaled by
+    min(1, c / ‖ḡ‖) with c = ``model.CLIP_NORM``, read at call time.
+
+    Returns ‖ḡ‖, the float64 norm before the cap, so a caller can tell
+    whether the cap bound."""
+    from camloc import backward, dual_branch_loss, forward, model, sgd_step
 
     trainable = params.trainable()
     for sample in samples:
         art = forward(params, sample.image, guide_class=sample.label, mode=config.guidance_mode)
         backward(dual_branch_loss(art.logits_a, art.logits_b, sample.label))
-    for p in trainable:
-        p.grad *= np.float32(1.0 / len(samples))
+    mean = [p.grad.astype(np.float64) / len(samples) for p in trainable]
+    norm = float(np.sqrt(sum(float((g * g).sum()) for g in mean)))
+    factor = min(1.0, model.CLIP_NORM / norm)
+    for p, g in zip(trainable, mean):
+        p.grad = (g * factor).astype(np.float32)
     sgd_step(trainable, config.learning_rate)
+    return norm
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from camloc import (
 )
 from camloc import model
 from camloc.model import backbone_forward, head_forward, predict_maps
-from camloc.tensor import backward, no_grad
+from camloc.tensor import backward, no_grad, softmax_cross_entropy
 
 import oracles
 
@@ -406,21 +406,60 @@ class TestTrain:
         for name in params_a.tensors:
             assert np.array_equal(params_a[name].data, params_b[name].data)
 
+    # the mean gradient's norm here is about 0.36: the shipped cap leaves it
+    # alone, and a cap of 0.1 binds
+    @pytest.mark.parametrize("clip_norm", [None, 0.1], ids=["shipped_cap", "binding_cap"])
     @pytest.mark.parametrize("mode", ["ccam", "threshold"])
-    def test_chunked_step_equals_per_sample_accumulation(self, mode):
+    def test_chunked_step_equals_per_sample_accumulation(self, mode, clip_norm, monkeypatch):
         # 6 samples in one batch: a full chunk and a partial one
+        if clip_norm is not None:
+            monkeypatch.setattr(model, "CLIP_NORM", clip_norm)
         train_split, _ = small_dataset(n_train=6)
         config = TrainConfig(epochs=1, batch_size=6, learning_rate=1.0, guidance_mode=mode, seed=1)
         initial = init_model(small_config())
         chunked, reference = initial.clone(), initial.clone()
         train(chunked, train_split, config)
-        oracles.per_sample_sgd_step(reference, train_split, config)
+        mean_norm = oracles.per_sample_sgd_step(reference, train_split, config)
+        assert (mean_norm > model.CLIP_NORM) == (clip_norm is not None)
         for name, start in initial.tensors.items():
             step = chunked[name].data - start.data
             expected = reference[name].data - start.data
             scale = np.abs(expected).max()
             assert scale > 0, name
             assert np.abs(step - expected).max() <= 1e-4 * scale, name
+
+    def test_capped_step_has_norm_lr_times_clip_norm(self, monkeypatch):
+        monkeypatch.setattr(model, "CLIP_NORM", 0.05)
+        train_split, _ = small_dataset(n_train=6)
+        config = TrainConfig(epochs=1, batch_size=6, learning_rate=1.0, seed=1)
+        initial = init_model(small_config())
+        params = initial.clone()
+        train(params, train_split, config)
+        step = np.sqrt(sum(
+            np.square(params[name].data.astype(np.float64) - start.data).sum()
+            for name, start in initial.tensors.items()
+        ))
+        assert step == pytest.approx(config.learning_rate * model.CLIP_NORM, rel=1e-5)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+    def test_non_finite_gradient_norm_raises_numeric_error(self, monkeypatch, bad):
+        # the loss stays finite, so only the gradient norm can catch this
+        real_backward = model.backward
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            params["backbone.1.weight"].grad[0, 0, 0, 0] = bad
+
+        monkeypatch.setattr(model, "backward", poisoned_backward)
+        train_split, _ = small_dataset(n_train=4)
+        params = init_model(small_config())
+        before = {name: t.data.copy() for name, t in params.tensors.items()}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would raise here
+            with pytest.raises(NumericError, match="non-finite gradient norm at epoch 0"):
+                train(params, train_split, TrainConfig(epochs=1, batch_size=4, learning_rate=0.1, seed=1))
+        for name, tensor in params.tensors.items():
+            assert np.array_equal(tensor.data, before[name]), name
 
     def test_empty_dataset_errors(self):
         with pytest.raises(ValueError, match="empty"):
@@ -489,7 +528,12 @@ class TestTrainChunks:
     """``train`` equals its chunk loop written out; 30 samples at batch 16
     give chunks of 4, 4, 4, 4 and then 4, 4, 4, 2."""
 
-    def test_equals_its_chunk_loop_written_out(self, tmp_path):
+    # the steps' mean gradients have norms of about 0.3: the shipped cap
+    # never binds, and a cap of 0.3 binds on some steps
+    @pytest.mark.parametrize("clip_norm", [None, 0.3], ids=["shipped_cap", "binding_cap"])
+    def test_equals_its_chunk_loop_written_out(self, tmp_path, clip_norm, monkeypatch):
+        if clip_norm is not None:
+            monkeypatch.setattr(model, "CLIP_NORM", clip_norm)
         train_split, _ = small_dataset(n_train=30)
         config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, seed=4)
         initial = init_model(small_config())
@@ -500,6 +544,7 @@ class TestTrainChunks:
         labels = np.array([sample.label for sample in train_split])
         rng = np.random.default_rng(config.seed)
         losses = []
+        capped = 0
         for _ in range(config.epochs):
             order = rng.permutation(len(train_split))
             total = 0.0
@@ -509,15 +554,34 @@ class TestTrainChunks:
                     chunk = batch[offset : offset + model.TRAIN_CHUNK]
                     images = np.stack([train_split[i].image for i in chunk])
                     total += model._train_chunk(reference, images, labels[chunk], config)[0]
-                for p in reference.trainable():
-                    p.grad *= np.float32(1.0 / len(batch))
-                model.sgd_step(reference.trainable(), config.learning_rate)
+                trainable = reference.trainable()
+                norm = np.sqrt(sum(np.square(p.grad, dtype=np.float64).sum() for p in trainable))
+                capped += bool(model.CLIP_NORM / norm < 1.0 / len(batch))
+                for p in trainable:
+                    p.grad *= np.float32(min(1.0 / len(batch), model.CLIP_NORM / norm))
+                model.sgd_step(trainable, config.learning_rate)
             losses.append(total / len(train_split))
 
+        assert (capped > 0) == (clip_norm is not None)
         assert report.losses == losses
         save_checkpoint(trained, tmp_path / "trained.bin")
         save_checkpoint(reference, tmp_path / "reference.bin")
         assert (tmp_path / "trained.bin").read_bytes() == (tmp_path / "reference.bin").read_bytes()
+
+
+def test_branch_b_loss_trains_the_backbone():
+    # both branches train the one trunk; the guidance mask is a constant, so
+    # branch B's loss reaches no branch A parameter
+    train_split, _ = small_dataset(n_train=4)
+    params = init_model(small_config())
+    labels = np.array([sample.label for sample in train_split])
+    art = forward(params, np.stack([sample.image for sample in train_split]), guide_class=labels)
+    backward(softmax_cross_entropy(art.logits_b, labels))
+    for name, tensor in params.tensors.items():
+        if name.startswith("backbone."):
+            assert tensor.grad is not None and np.any(tensor.grad != 0), name
+        elif name.startswith("branch_a."):
+            assert tensor.grad is None, name
 
 
 def test_training_chunk_graph_fits_its_memory_budget():

@@ -16,7 +16,8 @@ A change that means to alter outputs rewrites the ledger with::
 
     PYTHONPATH=src python tests/test_output_ledger.py --write
 
-and says which entries changed and why.
+which prints the entries that differ from the committed ledger before it
+overwrites it; the change says which entries changed and why.
 """
 
 import contextlib
@@ -100,6 +101,12 @@ def run_pipeline(out: Path) -> dict:
     return dict(sorted(digests.items()))
 
 
+def differing_entries(old: dict, new: dict) -> list[str]:
+    """The file names whose digest differs between two {file: sha256} maps,
+    a file present in only one of them included, sorted."""
+    return sorted(name for name in old.keys() | new.keys() if old.get(name) != new.get(name))
+
+
 def test_outputs_match_the_ledger(tmp_path):
     ledger = json.loads(LEDGER.read_text())
     here = environment()
@@ -110,10 +117,15 @@ def test_outputs_match_the_ledger(tmp_path):
             "the output ledger was written on another environment; "
             + "; ".join(f"{key}: ledger {old!r}, here {new!r}" for key, (old, new) in differ.items())
         )
-    digests = run_pipeline(tmp_path / "run")
-    changed = sorted(name for name in ledger["files"].keys() | digests.keys()
-                     if ledger["files"].get(name) != digests.get(name))
+    changed = differing_entries(ledger["files"], run_pipeline(tmp_path / "run"))
     assert not changed, f"outputs differ from {LEDGER.name}: {changed}"
+
+
+def test_differing_entries_names_changed_added_and_removed_files():
+    old = {"a.csv": "1", "b.csv": "2", "gone.pgm": "3"}
+    new = {"a.csv": "1", "b.csv": "9", "new.pgm": "4"}
+    assert differing_entries(old, new) == ["b.csv", "gone.pgm", "new.pgm"]
+    assert differing_entries(old, dict(old)) == []
 
 
 if __name__ == "__main__":
@@ -121,5 +133,11 @@ if __name__ == "__main__":
         sys.exit("usage: PYTHONPATH=src python tests/test_output_ledger.py --write")
     with tempfile.TemporaryDirectory() as scratch:
         files = run_pipeline(Path(scratch) / "run")
+    old = json.loads(LEDGER.read_text())["files"] if LEDGER.exists() else {}
+    changed = differing_entries(old, files)
+    print(f"{len(changed)} of {len(old.keys() | files.keys())} entries differ from the committed ledger:")
+    for name in changed:
+        status = "new" if name not in old else "removed" if name not in files else "changed"
+        print(f"  {status}: {name}")
     LEDGER.write_text(json.dumps({"environment": environment(), "files": files}, indent=2) + "\n")
     print(f"wrote {len(files)} digests to {LEDGER}")
