@@ -408,8 +408,11 @@ class TestTrain:
 
     # the mean gradient's norm here is about 0.36: the shipped cap leaves it
     # alone, and a cap of 0.1 binds
-    @pytest.mark.parametrize("clip_norm", [None, 0.1], ids=["shipped_cap", "binding_cap"])
-    @pytest.mark.parametrize("mode", ["ccam", "threshold"])
+    @pytest.mark.parametrize(
+        "mode, clip_norm",
+        [("ccam", None), ("threshold", None), ("ccam", 0.1), ("threshold", 0.1)],
+        ids=["ccam", "threshold", "ccam-binding_cap", "threshold-binding_cap"],
+    )
     def test_chunked_step_equals_per_sample_accumulation(self, mode, clip_norm, monkeypatch):
         # 6 samples in one batch: a full chunk and a partial one
         if clip_norm is not None:
@@ -528,12 +531,17 @@ class TestTrainChunks:
     """``train`` equals its chunk loop written out; 30 samples at batch 16
     give chunks of 4, 4, 4, 4 and then 4, 4, 4, 2."""
 
-    # the steps' mean gradients have norms of about 0.3: the shipped cap
-    # never binds, and a cap of 0.3 binds on some steps
-    @pytest.mark.parametrize("clip_norm", [None, 0.3], ids=["shipped_cap", "binding_cap"])
-    def test_equals_its_chunk_loop_written_out(self, tmp_path, clip_norm, monkeypatch):
-        if clip_norm is not None:
-            monkeypatch.setattr(model, "CLIP_NORM", clip_norm)
+    def test_equals_its_chunk_loop_written_out(self, tmp_path):
+        self.check_against_the_written_out_loop(tmp_path, capped=False)
+
+    def test_equals_its_chunk_loop_written_out_under_a_binding_cap(self, tmp_path, monkeypatch):
+        # the steps' mean gradients have norms of about 0.3: the shipped cap
+        # never binds, and a cap of 0.3 binds on some steps
+        monkeypatch.setattr(model, "CLIP_NORM", 0.3)
+        self.check_against_the_written_out_loop(tmp_path, capped=True)
+
+    @staticmethod
+    def check_against_the_written_out_loop(tmp_path, capped):
         train_split, _ = small_dataset(n_train=30)
         config = TrainConfig(epochs=2, batch_size=16, learning_rate=0.1, seed=4)
         initial = init_model(small_config())
@@ -544,7 +552,7 @@ class TestTrainChunks:
         labels = np.array([sample.label for sample in train_split])
         rng = np.random.default_rng(config.seed)
         losses = []
-        capped = 0
+        capped_steps = 0
         for _ in range(config.epochs):
             order = rng.permutation(len(train_split))
             total = 0.0
@@ -556,13 +564,13 @@ class TestTrainChunks:
                     total += model._train_chunk(reference, images, labels[chunk], config)[0]
                 trainable = reference.trainable()
                 norm = np.sqrt(sum(np.square(p.grad, dtype=np.float64).sum() for p in trainable))
-                capped += bool(model.CLIP_NORM / norm < 1.0 / len(batch))
+                capped_steps += bool(model.CLIP_NORM / norm < 1.0 / len(batch))
                 for p in trainable:
                     p.grad *= np.float32(min(1.0 / len(batch), model.CLIP_NORM / norm))
                 model.sgd_step(trainable, config.learning_rate)
             losses.append(total / len(train_split))
 
-        assert (capped > 0) == (clip_norm is not None)
+        assert (capped_steps > 0) == capped
         assert report.losses == losses
         save_checkpoint(trained, tmp_path / "trained.bin")
         save_checkpoint(reference, tmp_path / "reference.bin")
